@@ -189,15 +189,17 @@ def _is_squarefree(d: int) -> bool:
 def frobenius_quadratic(d: int, p: int) -> FrobeniusClass:
     """Substitution class of p in the quadratic field attached to sqrt(d).
 
-    Primes dividing 2d are conservatively reported ramified (for odd d the
-    prime 2 may actually be unramified, but it is never reported split or
-    inert wrongly).  Away from 2d the class is split exactly when d is a
-    quadratic residue mod p.
+    The primes dividing the discriminant (d if d = 1 mod 4, else 4d) are
+    ramified.  For d = 1 mod 4 the prime 2 is unramified: it splits when
+    d = 1 mod 8 and is inert when d = 5 mod 8.  Away from 2d the class is
+    split exactly when d is a quadratic residue mod p.
     """
     if d == 0 or not _is_squarefree(d):
         raise ValueError("d must be a squarefree nonzero integer")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p == 2 and d % 4 == 1:
+        return FrobeniusClass.SPLIT if d % 8 == 1 else FrobeniusClass.INERT
     if (2 * d) % p == 0:
         return FrobeniusClass.RAMIFIED
     if legendre_symbol(d % p, p) == 1:

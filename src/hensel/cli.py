@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -25,7 +25,7 @@ from . import arith, orbital, qseries, traceformula
 from .padics import PrecisionError
 from .primes import is_prime, primes_upto, smallest_nonresidue
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PASS = "pass"
 FAIL = "fail"
@@ -177,7 +177,6 @@ def cmd_fl_verify(args) -> RunReport:
         "closed_form": report.closed_form,
         "expected": report.expected,
         "saturated": report.saturated,
-        "scan_method": report.method,
         "val_a": report.val_a,
         "val_b": report.val_b,
     }
@@ -221,7 +220,6 @@ def _sweep_cell(cell):
         "closed_form": closed,
         "untwisted": report.untwisted,
         "saturated": report.saturated,
-        "scan_method": report.method,
         "status": PASS if ok else FAIL,
     }
 
@@ -238,8 +236,9 @@ def cmd_sweep(args) -> RunReport:
         if p == 2 or not is_prime(p):
             raise UsageError(f"p must be an odd prime, got {p}")
     cells = [(p, vb, kappa) for p in p_list for vb in vb_list]
-    if args.jobs > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]
@@ -268,7 +267,6 @@ def cmd_orbital(args) -> RunReport:
         "untwisted_total": report.untwisted,
         "twisted_total": report.twisted,
         "saturated": report.saturated,
-        "scan_method": report.method,
         "regime": report.regime,
     }
     verdict = PASS if report.saturated is not False else FAIL
@@ -444,6 +442,21 @@ class UsageError(Exception):
     pass
 
 
+def _resolve_jobs(flag: int | None) -> int:
+    """--jobs, else $HENSEL_JOBS, else 1; a usage error unless it is >= 1."""
+    if flag is None:
+        source, text = "HENSEL_JOBS", os.environ.get("HENSEL_JOBS", "1")
+    else:
+        source, text = "--jobs", flag
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise UsageError(f"{source} must be an integer, got {text!r}") from None
+    if jobs < 1:
+        raise UsageError(f"{source} must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hensel",
@@ -459,8 +472,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("HENSEL_JOBS", "1")),
-        help="worker processes for sweeps (default $HENSEL_JOBS or 1)",
+        default=None,
+        help="worker processes for sweeps, at most one per cell and CPU "
+        "(default $HENSEL_JOBS or 1)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -530,6 +544,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        args.jobs = _resolve_jobs(args.jobs)
         report = args.func(args)
     except (UsageError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"hensel: error: {exc}", file=sys.stderr)

@@ -13,17 +13,9 @@ additionally satisfies min(alpha, beta, val(c)) = 0.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .padics import (
-    INFINITY,
-    PadicScalar,
-    PrecisionError,
-    from_rational,
-    is_square_unit,
-    valp_fraction,
-)
+from .padics import PadicScalar, from_rational, is_square_unit
 
 Vector = tuple[PadicScalar, PadicScalar]
 

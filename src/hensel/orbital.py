@@ -3,24 +3,23 @@
 The orbital integral of the unit-ball indicator at gamma counts the
 homothety classes of gamma-stable lattices; the twisted variant weights
 each class by a sign depending on its index parity (n = 2, kappa in
-{0, 1}, so the twist weights are exact signed integers).  Counts are
-produced by two independent routes:
+{0, 1}, so the twist weights are exact signed integers).
 
-* ``direct``  - enumerate every class in the window and run the full
-  membership test on each (simple, but the window holds on the order of
-  p^{2m} classes);
-* ``pruned``  - a depth-first scan over the digits of the off-diagonal
-  residue that evaluates the same membership inequalities on digit
-  prefixes and either rejects, accepts in bulk, or refines.  It visits a
-  tiny fraction of the classes while counting exactly the same set.
+One engine produces the counts.  It walks the strata (alpha, beta, val c)
+of the window's canonical forms, the subtrees of the digit tree of the
+off-diagonal residue c, and accepts or rejects each stratum whole after one
+exact evaluation of the membership inequalities (see the comment above
+`_inclusion_counts` for why one evaluation settles a stratum).  Its cost
+does not grow with p.
 
-The two routes are interchangeable and are cross-checked in the test
-suite on every window small enough for the direct scan.
+The direct scan (`_direct_counts` over `lattices.enumerate_window`, at the
+precision `_window_precision` gives) runs the full membership test on every
+class of the window.  It is kept only as the oracle that the test suite
+checks the engine against on small windows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,14 +28,10 @@ from .lattices import (
     enumerate_window,
     grading,
     is_stable,
-    window_class_count,
     _window_strata,
 )
-from .padics import INFINITY, from_rational, is_square_unit, valp_fraction
+from .padics import INFINITY, valp_fraction
 from .primes import is_prime
-
-# windows with at most this many classes use the direct scan by default
-DIRECT_SCAN_LIMIT = 100_000
 
 
 @dataclass
@@ -56,7 +51,9 @@ class OrbitalReport:
     saturated: bool | None = None
     verdict: bool | None = None
     regime: str = ""
-    method: str = ""
+
+
+# -- direct oracle (tests only) -------------------------------------------------
 
 
 def _window_precision(m: int, gamma: GammaElement) -> int:
@@ -82,7 +79,7 @@ def _direct_counts(gamma: GammaElement, m: int, prec: int) -> dict:
     return counts
 
 
-# -- pruned digit-tree scan ---------------------------------------------------
+# -- the counting engine -------------------------------------------------------
 #
 # For the class (alpha, beta, c) with basis (p^alpha e1) and (c e1 + p^beta e2),
 # solving the triangular system shows that gamma(L) <= L is equivalent to the
@@ -93,142 +90,58 @@ def _direct_counts(gamma: GammaElement, m: int, prec: int) -> dict:
 #   (iii)  val(a p^beta + c b)                       >= beta
 #   (iv)   val(delta p^{2 beta} - c^2)               >= alpha + beta - val(b)
 #
-# (i) does not involve c; (ii)/(iii) are linear in c and (iv) quadratic.  When
-# the digits of c are fixed only up to position j, the value of each left-hand
-# side is perturbed by a term of valuation >= j + val(coefficient), so the
-# condition is already decided for every completion unless the prefix value
-# cancels down to that perturbation level.  The scan recurses only while a
-# condition stays undecided, and counts whole subtrees (p^{digits left}) the
-# moment every condition is settled.
+# A stratum (alpha, beta, vc) holds the (p - 1) p^{alpha - vc - 1} residues c
+# mod p^alpha of valuation vc: the subtree of the digit tree under the
+# leading digit of c.  Every class of a stratum meets the conditions or none
+# does, so one exact evaluation at c = p^vc settles the whole subtree:
+#
+# * (i) does not involve c;
+# * (ii) and (iii) hold together iff val(a p^beta) >= beta and
+#   val(c b) >= beta, since their sum and difference are 2 a p^beta and
+#   2 c b and p is odd; a digit that cancels one of them breaks the other;
+# * (iv) never cancels: delta is a non-square unit, so the value has
+#   valuation min(2 beta, 2 vc) exactly.
+#
+# No digit below the leading one matters, so the cost is the number of
+# strata, O(m^3), whatever p is.
 
 
-def _decide_linear(base_val, step_val, bound):
-    """Status of val(base + perturbation) >= bound when the perturbation has
-    valuation >= step_val and base valuation base_val < step_val pins the sum.
-
-    Returns True (holds for every completion), False (fails for every
-    completion) or None (depends on further digits).
-    """
-    if base_val < step_val:
-        return base_val >= bound
-    if step_val >= bound:
-        return True  # val >= min(base_val, step_val) >= bound
-    return None
-
-
-class _InclusionScan:
+def _inclusion_counts(gamma: GammaElement, m: int) -> dict:
     """Counts, per grading class, the classes of the window with gamma(L) <= L."""
-
-    def __init__(self, gamma: GammaElement, m: int):
-        for s in (gamma.a, gamma.b, gamma.delta):
-            if s.exact_value is None:
-                raise ValueError("pruned scan needs rational-born gamma entries")
-        self.p = gamma.p
-        self.m = m
-        self.ra = gamma.a.exact_value
-        self.rb = gamma.b.exact_value
-        self.rdelta = gamma.delta.exact_value
-        self.vb = valp_fraction(self.rb, self.p)
-
-    def run(self) -> dict:
-        counts = {0: 0, 1: 0}
-        p = self.p
-        for alpha, beta, vc in _window_strata(p, self.m):
-            if self.vb + alpha - beta < 0:  # condition (i)
-                continue
-            r = (alpha + beta) % 2
-            conds = self._conditions(alpha, beta)
-            if vc is None:
-                if all(self._holds_exactly(cond, 0) for cond in conds):
-                    counts[r] += 1
-                continue
-            for d in range(1, p):
-                counts[r] += self._scan(conds, alpha, d * p**vc, vc, vc + 1)
-        return counts
-
-    def _conditions(self, alpha, beta):
-        pb = Fraction(self.p) ** beta
-        return [
-            # (kind, A, B/D, bound): linear value A + c*B, quadratic D - c^2
-            ("lin", self.ra * pb, -self.rb, beta),
-            ("lin", self.ra * pb, self.rb, beta),
-            ("quad", self.rdelta * pb * pb, None, alpha + beta - self.vb),
-        ]
-
-    def _value_at(self, cond, c):
-        kind, a, b, _ = cond
-        return a + c * b if kind == "lin" else a - c * c
-
-    def _holds_exactly(self, cond, c) -> bool:
-        return valp_fraction(self._value_at(cond, c), self.p) >= cond[3]
-
-    def _scan(self, conds, alpha, c0, vc, j) -> int:
-        """Classes c = c0 + (digits at positions j..alpha-1) meeting conds."""
-        if j > alpha:
-            raise AssertionError("digit position past the residue length")
-        remaining = []
-        for cond in conds:
-            kind, _, b, bound = cond
-            base_val = valp_fraction(self._value_at(cond, c0), self.p)
-            if kind == "lin":
-                step_val = j + valp_fraction(b, self.p)
-            else:
-                # perturbation -2 c0 p^j t - p^{2j} t^2 has valuation >= j + vc
-                step_val = j + vc
-            status = _decide_linear(base_val, step_val, bound)
-            if status is False:
-                return 0
-            if status is None:
-                remaining.append(cond)
-        if not remaining:
-            return self.p ** (alpha - j)
-        if j == alpha:
-            # residue fully determined; evaluate what is left exactly
-            return int(all(self._holds_exactly(cond, c0) for cond in remaining))
-        return sum(
-            self._scan(remaining, alpha, c0 + d * self.p**j, vc, j + 1)
-            for d in range(self.p)
-        )
+    p = gamma.p
+    ra, rb, rdelta = (s.exact_value for s in (gamma.a, gamma.b, gamma.delta))
+    if None in (ra, rb, rdelta):
+        raise ValueError("counting needs rational-born gamma entries")
+    vb = valp_fraction(rb, p)
+    counts = {0: 0, 1: 0}
+    for alpha, beta, vc in _window_strata(p, m):
+        c = 0 if vc is None else p**vc
+        pb = Fraction(p) ** beta
+        if (
+            vb + alpha - beta >= 0
+            and valp_fraction(ra * pb - c * rb, p) >= beta
+            and valp_fraction(ra * pb + c * rb, p) >= beta
+            and valp_fraction(rdelta * pb * pb - c * c, p) >= alpha + beta - vb
+        ):
+            size = 1 if vc is None else (p - 1) * p ** (alpha - vc - 1)
+            counts[(alpha + beta) % 2] += size
+    return counts
 
 
-def _pruned_counts(gamma: GammaElement, m: int) -> dict:
-    inclusion = _InclusionScan(gamma, m).run()
-    if gamma.det_valuation == 0:
-        return inclusion
-    # gamma(L) has index p^{val det} in L, so inclusion is never equality
-    return {0: 0, 1: 0}
-
-
-def count_stable(
-    gamma: GammaElement, m: int, prec: int | None = None, method: str = "auto"
-) -> dict:
+def count_stable(gamma: GammaElement, m: int) -> dict:
     """Count gamma-stable homothety classes in the window, per grading class."""
-    if method == "auto":
-        method = (
-            "direct"
-            if window_class_count(gamma.p, m) <= DIRECT_SCAN_LIMIT
-            else "pruned"
-        )
-    if method == "direct":
-        if prec is None:
-            prec = _window_precision(m, gamma)
-        return _direct_counts(gamma, m, prec)
-    if method == "pruned":
-        return _pruned_counts(gamma, m)
-    raise ValueError(f"unknown method {method!r}")
+    if gamma.det_valuation != 0:
+        # gamma(L) has index p^{val det} in L, so it never equals L
+        return {0: 0, 1: 0}
+    # unit determinant: gamma(L) <= L has index 1, so it is gamma(L) = L
+    return _inclusion_counts(gamma, m)
 
 
-def twisted_count(
-    gamma: GammaElement,
-    kappa: int,
-    m: int,
-    prec: int | None = None,
-    method: str = "auto",
-) -> int:
+def twisted_count(gamma: GammaElement, kappa: int, m: int) -> int:
     """Stable-class count with grading class r weighted by (-1)^(r*kappa)."""
     if kappa not in (0, 1):
         raise ValueError("kappa must be 0 or 1")
-    counts = count_stable(gamma, m, prec, method)
+    counts = count_stable(gamma, m)
     if kappa == 0:
         return counts[0] + counts[1]
     return counts[0] - counts[1]
@@ -276,16 +189,35 @@ def verify_fundamental_lemma(
     delta,
     kappa: int = 1,
     window: int | None = None,
-    prec: int | None = None,
     saturate: bool = True,
-    method: str = "auto",
 ) -> OrbitalReport:
-    """Compare the brute-force twisted count against the transfer constant.
+    """Compare the twisted count of stable classes with the transfer constant.
 
     In the regime val(a) = 0, val(b) > 0 (so a + b sqrt(delta) is a unit of
     the quadratic order) the expected twisted total is (-p)^{val(b)}.  When
     a + b sqrt(delta) is not a unit of the order the expected total is 0.
     The remaining boundary val(b) = 0 is reported without a verdict.
+
+    The default window in the unit regime has radius ceil(val(b)/2), and the
+    count is repeated at radius m + 1 as a saturation certificate.  The
+    certificate is sound because:
+
+    * the fixed-point set F of gamma on the Bruhat-Tits tree of PGL_2(Q_p)
+      is convex, i.e. a subtree (Serre, *Trees*, ch. I, sec. 6): gamma maps
+      the one path between two fixed vertices to a path with the same ends,
+      so it fixes that path;
+    * F contains the vertex L0 in the unit regime, where gamma is integral
+      with unit determinant;
+    * the window of radius m is, as a set of homothety classes, the tree
+      ball of radius 2m around L0.
+
+    If F left the ball of radius 2m, the path from L0 to a vertex of F
+    outside it would lie in F and meet distance 2m + 1, inside the window of
+    radius m + 1, so the two counts would differ.  Equal counts therefore
+    show that the window holds all of F.  (In the unit regime F is the ball
+    of radius val(b), which the default window just holds.)  The vanishing
+    and outside regimes keep the radius val(b) + 1; in the vanishing regime
+    the counts are zero by the index argument in `count_stable`.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -296,14 +228,11 @@ def verify_fundamental_lemma(
         raise ValueError("b must be nonzero")
     va = valp_fraction(ra, p)
     vb = valp_fraction(rb, p)
-
-    if window is None:
-        window = max(vb, 0) + 1
-    m = window
-    if prec is None:
-        probe = GammaElement.from_rationals(p, ra, rb, rdelta, prec=8)
-        prec = _window_precision(m + 1, probe)
-    gamma = GammaElement.from_rationals(p, ra, rb, rdelta, prec)
+    # The count reads only the exact entries.  One digit is all that
+    # GammaElement's own checks need: delta's residue class, and the
+    # determinant valuation, since the norm form a^2 - b^2 delta is
+    # anisotropic and its leading digits never cancel.
+    gamma = GammaElement.from_rationals(p, ra, rb, rdelta, prec=1)
 
     if va == 0 and vb > 0:
         regime = "unit"
@@ -318,17 +247,15 @@ def verify_fundamental_lemma(
         closed = None
         expected = None
 
-    if method == "auto":
-        chosen = (
-            "direct" if window_class_count(p, m) <= DIRECT_SCAN_LIMIT else "pruned"
-        )
-    else:
-        chosen = method
-    counts = count_stable(gamma, m, prec, chosen)
+    if window is None:
+        window = (vb + 1) // 2 if regime == "unit" else max(vb, 0) + 1
+    if window < 0:
+        raise ValueError("window radius must be nonnegative")
+    m = window
+    counts = count_stable(gamma, m)
     saturated = None
     if saturate:
-        counts_next = count_stable(gamma, m + 1, prec, method)
-        saturated = counts == counts_next
+        saturated = counts == count_stable(gamma, m + 1)
 
     untwisted = counts[0] + counts[1]
     twisted = counts[0] - counts[1] if kappa == 1 else untwisted
@@ -350,5 +277,4 @@ def verify_fundamental_lemma(
         saturated=saturated,
         verdict=verdict,
         regime=regime,
-        method=chosen,
     )

@@ -250,7 +250,7 @@ class PadicScalar:
         return PadicScalar(p, v, unit, abs_prec - v, exact)
 
 
-# -- module-level operation names ------------------------------------------
+# -- module-level functions ------------------------------------------------
 
 
 def from_rational(numerator, denominator, p, prec) -> PadicScalar:
@@ -274,22 +274,6 @@ def from_rational(numerator, denominator, p, prec) -> PadicScalar:
     ud = x.denominator // p**vd
     unit = un * pow(ud, -1, p**prec) % p**prec
     return PadicScalar(p, vn - vd, unit, prec, exact=x)
-
-
-def add(x: PadicScalar, y: PadicScalar) -> PadicScalar:
-    return x + y
-
-
-def mul(x: PadicScalar, y: PadicScalar) -> PadicScalar:
-    return x * y
-
-
-def neg(x: PadicScalar) -> PadicScalar:
-    return -x
-
-
-def inv(x: PadicScalar) -> PadicScalar:
-    return x.inv()
 
 
 def valuation(x: PadicScalar):

@@ -82,6 +82,16 @@ def test_gaussian_field_examples():
     assert frobenius_quadratic(-1, 2) is FrobeniusClass.RAMIFIED
 
 
+def test_frobenius_at_two():
+    # 2 is unramified in Q(sqrt d) for d = 1 mod 4: split for d = 1 mod 8,
+    # inert for d = 5 mod 8; otherwise it divides the discriminant 4d
+    assert frobenius_quadratic(5, 2) is FrobeniusClass.INERT
+    assert frobenius_quadratic(-3, 2) is FrobeniusClass.INERT
+    assert frobenius_quadratic(17, 2) is FrobeniusClass.SPLIT
+    for d in (-1, 2, 3):
+        assert frobenius_quadratic(d, 2) is FrobeniusClass.RAMIFIED
+
+
 def test_frobenius_validation():
     with pytest.raises(ValueError):
         frobenius_quadratic(12, 5)  # not squarefree

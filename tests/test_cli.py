@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -25,7 +27,8 @@ def test_fl_verify_pass(capsys):
     assert payload["results"]["closed_form"] == -3
     assert payload["results"]["saturated"] is True
     assert payload["params"]["delta"] == "2"  # auto-resolved non-residue
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
+    assert "scan_method" not in payload["results"]
     assert payload["subcommand"] == "fl-verify"
 
 
@@ -55,6 +58,16 @@ def test_fl_verify_usage_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "fl-verify", "--p", "4", "--a", "1", "--b", "3")
     assert code == 2
     assert "odd prime" in err
+
+
+def test_fl_verify_large_prime_saturates(capsys):
+    code, payload = run_json(
+        capsys, "fl-verify", "--p", "10007", "--a", "1", "--b", "10007"
+    )
+    assert code == 0
+    assert payload["verdict"] == "pass"
+    assert payload["results"]["saturated"] is True
+    assert payload["results"]["window"] == 1
 
 
 def test_fl_verify_undersized_window_fails(capsys):
@@ -110,6 +123,59 @@ def test_sweep_parallel_matches_serial(capsys):
     serial["params"].pop("jobs")
     parallel["params"].pop("jobs")
     assert serial == parallel
+
+
+def test_jobs_env_not_an_integer_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("HENSEL_JOBS", "abc")
+    code, out, err = run_cli(capsys, "theta", "--t", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "HENSEL_JOBS" in err
+
+
+@pytest.mark.parametrize("argv", [("--jobs", "0"), ("--jobs", "-3")])
+def test_jobs_below_one_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("HENSEL_JOBS", "1")
+    code, _, err = run_cli(capsys, *argv, "sweep", "--p-list", "3", "--vb-list", "1")
+    assert code == 2
+    assert "--jobs must be at least 1" in err
+    monkeypatch.setenv("HENSEL_JOBS", "0")
+    code, _, err = run_cli(capsys, "sweep", "--p-list", "3", "--vb-list", "1")
+    assert code == 2
+    assert "HENSEL_JOBS must be at least 1" in err
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs,cells,workers", [(64, 3, 3), (64, 6, 4), (2, 1, None), (1, 2, None)]
+)
+def test_sweep_pool_clamped_to_cells_and_cpus(capsys, monkeypatch, jobs, cells, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _SerialPool.sizes = []
+    vb_list = ",".join(str(v) for v in range(1, cells + 1))
+    code, payload = run_json(
+        capsys, "--jobs", str(jobs), "sweep", "--p-list", "3", "--vb-list", vb_list
+    )
+    assert code == 0 and payload["params"]["jobs"] == jobs
+    assert _SerialPool.sizes == ([] if workers is None else [workers])
 
 
 def test_sweep_config_file(capsys, tmp_path):
@@ -172,6 +238,12 @@ def test_frobenius_subcommand(capsys):
     assert code == 0
     assert payload["results"]["mismatch_count"] == 0
     assert payload["results"]["character"] == "mod4"
+
+
+def test_frobenius_two_unramified_for_d_one_mod_four(capsys):
+    code, payload = run_json(capsys, "frobenius", "--d", "5", "--pmax", "10")
+    assert code == 0
+    assert payload["results"]["tallies"] == {"inert": 3, "ramified": 1, "split": 0}
 
 
 def test_frobenius_needs_character_for_general_d(capsys):

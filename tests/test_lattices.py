@@ -295,6 +295,41 @@ def test_enumerate_window_monotone_in_radius():
     assert order == sorted(order)
 
 
+def _tree_neighbours(lat, prec=30):
+    """The p + 1 classes next to lat on the Bruhat-Tits tree: the lattices M
+    with pL < M < L of index p, one per line of L/pL."""
+    p = lat.p
+    v1, v2 = lat.basis(prec)
+
+    def times_p(v):
+        return (v[0].shift(1), v[1].shift(1))
+
+    out = [canonicalize(v1, times_p(v2))]
+    for k in range(p):
+        kk = from_rational(k, 1, p, prec)
+        w = (v2[0] + kk * v1[0], v2[1] + kk * v1[1])
+        out.append(canonicalize(w, times_p(v1)))
+    return [homothety_normalize(m) for m in out]
+
+
+@pytest.mark.parametrize("p,m", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2)])
+def test_window_is_tree_ball_of_radius_twice_m(p, m):
+    # the saturation certificate rests on this: the window of radius m is
+    # the ball of radius 2m around L0 on the tree
+    ball = {standard_lattice(p)}
+    frontier = set(ball)
+    for _ in range(2 * m):
+        nxt = set()
+        for lat in frontier:
+            nbrs = _tree_neighbours(lat)
+            assert len(set(nbrs)) == p + 1
+            nxt.update(n for n in nbrs if n not in ball)
+        ball |= nxt
+        frontier = nxt
+    assert set(enumerate_window(p, m)) == ball
+    assert len(ball) == window_class_count(p, m) == 1 + (p + 1) * (p ** (2 * m) - 1) // (p - 1)
+
+
 def test_enumerate_window_deterministic():
     a = enumerate_window(5, 1)
     b = enumerate_window(5, 1)

@@ -1,10 +1,24 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hensel.lattices import GammaElement, enumerate_window, grading, is_stable, lattice_from_xy
+from hensel.lattices import (
+    GammaElement,
+    contains,
+    enumerate_window,
+    grading,
+    is_stable,
+    lattice_from_xy,
+    window_class_count,
+)
 from hensel.orbital import (
     OrbitalReport,
+    _direct_counts,
+    _inclusion_counts,
+    _window_precision,
     closed_form_count,
     count_stable,
     shell_count,
@@ -80,7 +94,12 @@ def test_counts_match_closed_form(p, vb, kappa):
     assert twisted_count(g, kappa, m=vb + 1) == closed_form_count(p, vb, kappa)
 
 
-# -- the two scan routes agree ----------------------------------------------------
+# -- the counting engine agrees with the direct oracle ----------------------------
+
+
+def direct(g, m):
+    """The direct oracle: the full membership test on every class."""
+    return _direct_counts(g, m, _window_precision(m, g))
 
 
 @pytest.mark.parametrize(
@@ -91,17 +110,14 @@ def test_counts_match_closed_form(p, vb, kappa):
 def test_direct_and_pruned_scans_agree(p, va, vb, m):
     a = Fraction(1, p**-va) if va < 0 else Fraction(p**va)
     g = gamma(p, a, p**vb)
-    assert count_stable(g, m, method="direct") == count_stable(g, m, method="pruned")
+    assert direct(g, m) == count_stable(g, m)
 
 
 def test_pruned_scan_agrees_on_nonsquare_choice():
     # delta = 2 vs a unit-times-square variant for p = 7 (3 is the smallest)
     g1 = gamma(7, 1, 7, delta=3)
     g2 = gamma(7, 1, 7, delta=5)
-    for method in ("direct", "pruned"):
-        assert count_stable(g1, 2, method=method) == count_stable(
-            g2, 2, method=method
-        )
+    assert count_stable(g1, 2) == count_stable(g2, 2) == direct(g1, 2) == direct(g2, 2)
 
 
 @pytest.mark.parametrize(
@@ -118,9 +134,7 @@ def test_pruned_scan_agrees_on_nonsquare_choice():
 )
 def test_scan_routes_agree_on_edge_elements(p, a, b, delta, m):
     g = gamma(p, a, b, delta=delta, prec=40)
-    assert count_stable(g, m, method="direct") == count_stable(
-        g, m, method="pruned"
-    )
+    assert direct(g, m) == count_stable(g, m)
 
 
 def test_unit_b_fixes_exactly_one_class():
@@ -136,6 +150,81 @@ def test_counts_depend_only_on_valuations():
     base = count_stable(gamma(3, 1, 9), m=3)
     assert count_stable(gamma(3, Fraction(2, 5), Fraction(9, 5)), m=3) == base
     assert count_stable(gamma(3, 7, 18), m=3) == base
+
+
+# the largest radius whose window the direct oracle scans: about 3,000 classes
+ORACLE_RADIUS = {3: 3, 5: 2, 7: 1, 11: 1, 13: 1}
+
+
+@st.composite
+def elements(draw):
+    """(p, a, b, delta, m) from the unit, vanishing and outside regimes."""
+    p = draw(st.sampled_from(sorted(ORACLE_RADIUS)))
+    m = draw(st.integers(0, ORACLE_RADIUS[p]))
+    assert window_class_count(p, m) <= 3000
+
+    def unit():
+        n = draw(st.integers(-300, 300).filter(lambda n: n % p))
+        d = draw(st.integers(1, 60).filter(lambda d: d % p))
+        return Fraction(n, d)
+
+    regime = draw(st.sampled_from(("unit", "vanishing", "outside")))
+    if regime == "unit":
+        va, vb = 0, draw(st.integers(1, 3))
+    elif regime == "vanishing":
+        va, vb = draw(
+            st.sampled_from(
+                ((-1, 1), (1, 1), (2, 1), (1, 2), (-1, 2), (0, -1),
+                 (-2, 1), (-3, 1), (-2, 2))
+            )
+        )
+    else:
+        va, vb = draw(st.integers(0, 2)), 0
+    a = unit() * Fraction(p) ** va
+    if draw(st.booleans()) and va > 0:
+        a = Fraction(0)  # a exactly zero, val(a) infinite
+    b = unit() * Fraction(p) ** vb
+    delta = draw(
+        st.integers(2, 400).filter(lambda d: pow(d, (p - 1) // 2, p) == p - 1)
+    )
+    return p, a, b, delta, m
+
+
+def inclusion_oracle(g, m):
+    """Classes of the window with gamma(L) <= L, by the membership test."""
+    counts = {0: 0, 1: 0}
+    for lat in enumerate_window(g.p, m, _window_precision(m, g)):
+        b1, b2 = lat.basis(g.b.precision)
+        if contains(lat, g.apply(b1)) and contains(lat, g.apply(b2)):
+            counts[grading(lat)] += 1
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements())
+def test_engine_matches_direct_oracle(case):
+    p, a, b, delta, m = case
+    g = gamma(p, a, b, delta=delta, prec=40)
+    assert count_stable(g, m) == direct(g, m)
+    if g.det_valuation != 0:
+        # count_stable returns zeros here without counting; with val(a) < 0
+        # one linear condition can cancel at a leading digit, which the
+        # inclusion counts must still settle stratum by stratum
+        assert _inclusion_counts(g, m) == inclusion_oracle(g, m)
+
+
+@pytest.mark.parametrize("p", [101, 1009, 10007])
+def test_large_p_matches_closed_form(p):
+    start = time.perf_counter()
+    for vb in (1, 2, 3):
+        g = gamma(p, 1, p**vb)
+        m = (vb + 1) // 2
+        for kappa in (0, 1):
+            assert twisted_count(g, kappa, m) == closed_form_count(p, vb, kappa)
+        assert count_stable(g, m) == count_stable(g, m + 1)
+    # the engine's work does not grow with p: a scan that visits all p - 1
+    # leading digits of every stratum takes seconds at p = 10007
+    assert time.perf_counter() - start < 1.0
 
 
 # -- invariance properties ---------------------------------------------------------
@@ -160,7 +249,7 @@ def test_delta_independence():
 def test_precision_independence():
     g_lo = gamma(3, 1, 9, prec=26)
     g_hi = gamma(3, 1, 9, prec=52)
-    assert count_stable(g_lo, 3, prec=26) == count_stable(g_hi, 3, prec=52)
+    assert _direct_counts(g_lo, 3, 26) == _direct_counts(g_hi, 3, 52)
 
 
 def test_sign_structure():
@@ -241,12 +330,22 @@ def test_verify_rejects_bad_input():
         verify_fundamental_lemma(3, 1, 0, 2)
     with pytest.raises(ValueError):
         verify_fundamental_lemma(3, 1, 3, 4)  # square delta
+    with pytest.raises(ValueError):
+        verify_fundamental_lemma(3, 1, 3, 2, window=-1)
 
 
 def test_verify_without_saturation():
     rep = verify_fundamental_lemma(3, 1, 3, 2, saturate=False)
     assert rep.saturated is None
     assert rep.verdict  # comparison still runs
+
+
+def test_default_window_is_half_of_val_b_in_unit_regime():
+    assert [verify_fundamental_lemma(3, 1, 3**vb, 2).window for vb in (1, 2, 3, 4)] == [
+        1, 1, 2, 2
+    ]
+    assert verify_fundamental_lemma(3, Fraction(1, 3), 9, 2).window == 3  # vanishing
+    assert verify_fundamental_lemma(3, 1, 1, 2).window == 1  # outside
 
 
 def test_undersized_window_fails_saturation():
