@@ -11,7 +11,6 @@ mathematical verdict failure, 2 on usage or precision errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -26,6 +25,10 @@ from .padics import PrecisionError
 from .primes import is_prime, primes_upto, smallest_nonresidue
 
 SCHEMA_VERSION = 2
+
+# Largest p * truncation `hecke` accepts: delta is built through q^(p*T),
+# which takes seconds at this ceiling.
+HECKE_MAX_INPUT_TRUNCATION = 100_000
 
 PASS = "pass"
 FAIL = "fail"
@@ -238,6 +241,8 @@ def cmd_sweep(args) -> RunReport:
     cells = [(p, vb, kappa) for p in p_list for vb in vb_list]
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures  # only a pool needs it; it imports logging
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
@@ -284,6 +289,11 @@ def cmd_orbital(args) -> RunReport:
 def cmd_hecke(args) -> RunReport:
     if not is_prime(args.p):
         raise UsageError(f"p must be prime, got {args.p}")
+    if args.p * args.truncation > HECKE_MAX_INPUT_TRUNCATION:
+        raise UsageError(
+            f"p * truncation = {args.p * args.truncation} exceeds "
+            f"{HECKE_MAX_INPUT_TRUNCATION}"
+        )
     f = qseries.delta(args.p * args.truncation)
     ok, eigenvalue = qseries.eigencheck(f, args.p, depth=args.truncation)
     results = {

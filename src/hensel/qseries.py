@@ -1,10 +1,11 @@
 """Truncated q-expansions with exact coefficients, and their operators.
 
 Everything algebraic here is exact (integers or fractions): the cusp-form
-product expansion, the averaging operator at a prime, the eigenvalue check,
-and the multiplicative coefficient recursion.  Only the two analytic
-summation checks at the end of the module use floating point, with explicit
-truncation tails.
+expansion (Jacobi's sparse series for the cube of the product, raised to the
+eighth power in one pass of an exact recurrence), the averaging operator at
+a prime, the eigenvalue check, and the multiplicative coefficient recursion.
+Only the two analytic summation checks at the end of the module use floating
+point, with explicit truncation tails.
 """
 
 from __future__ import annotations
@@ -65,44 +66,37 @@ class QExpansion:
         return QExpansion(self.weight, self.coefficients[: t + 1], self.level)
 
 
-def _pentagonal_terms(t: int) -> list:
-    """Sparse expansion of prod_{n>=1} (1 - q^n) through q^t: the exponents
-    are the generalized pentagonal numbers k(3k -+ 1)/2 with sign (-1)^k.
-    The naive factor-by-factor expansion of the same product is kept in the
-    test suite as an independent oracle for this identity."""
-    terms = [(0, 1)]
-    k = 1
-    while k * (3 * k - 1) // 2 <= t:
-        sign = -1 if k % 2 else 1
-        terms.append((k * (3 * k - 1) // 2, sign))
-        if k * (3 * k + 1) // 2 <= t:
-            terms.append((k * (3 * k + 1) // 2, sign))
-        k += 1
-    return terms
-
-
-def _sparse_multiply(dense: list, terms, t: int) -> list:
-    out = [0] * (t + 1)
-    for g, s in terms:
-        if s == 1:
-            for i in range(t + 1 - g):
-                out[i + g] += dense[i]
-        else:
-            for i in range(t + 1 - g):
-                out[i + g] -= dense[i]
-    return out
-
-
 def delta(truncation: int) -> QExpansion:
-    """The weight-12 cusp form q prod_{n>=1} (1 - q^n)^24, exactly to q^T."""
+    """The weight-12 cusp form q prod_{n>=1} (1 - q^n)^24, exactly to q^T.
+
+    Jacobi's identity gives the cube of the product as a sparse series,
+    prod (1 - q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}, and the eighth
+    power g of f = sum a_j q^j (a_0 = 1) follows from the exact power
+    recurrence n g_n = sum_{1<=j<=n} (9j - n) a_j g_{n-j}: one pass over
+    the O(sqrt T) nonzero a_j per coefficient.  The division by n is exact;
+    a remainder would mean a broken recurrence, so it raises.  The
+    24-factor pentagonal product is kept in the test suite as the oracle.
+    """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     t = truncation - 1  # room left after the leading factor q
-    terms = _pentagonal_terms(t)
-    acc = [1] + [0] * t
-    for _ in range(24):
-        acc = _sparse_multiply(acc, terms, t)
-    return QExpansion(12, (0, *acc))
+    jacobi = []  # (j, a_j, 9 j a_j) for the nonzero a_j with 1 <= j <= t
+    k = 1
+    while (j := k * (k + 1) // 2) <= t:
+        a = (-1) ** k * (2 * k + 1)
+        jacobi.append((j, a, 9 * j * a))
+        k += 1
+    g = [1] + [0] * t
+    for n in range(1, t + 1):
+        s = 0
+        for j, a, nine_ja in jacobi:
+            if j > n:
+                break
+            s += (nine_ja - n * a) * g[n - j]
+        g[n], r = divmod(s, n)
+        if r:
+            raise ArithmeticError(f"power recurrence left remainder {r} at q^{n}")
+    return QExpansion(12, (0, *g))
 
 
 def _exact_power(p: int, e: int):

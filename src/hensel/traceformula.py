@@ -5,7 +5,10 @@ representation on G/H (fixed-coset count) is matched against the weighted
 sum of conjugation-orbit sums over H-classes, the weight of a class being
 the centralizer-size quotient |Z_G(h)| / |Z_H(h)|.  Checking equality on
 every delta function is a full verification: the delta functions span all
-test functions, and both sides are linear.
+test functions, and both sides are linear.  Both sides on delta_g depend
+only on the conjugacy class of g, so `verify_trace_formula` checks one
+element per class; the per-element sides `induced_trace` and
+`geometric_side` are kept as the reference it is tested against.
 
 Groups are tables of permutations (0-based image tuples) closed under
 composition; the spectral side is computed directly from cosets, never
@@ -75,6 +78,7 @@ class FiniteGroupTable:
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = ident
         self._classes = None
+        self._class_of = None
         if any(perm_mul(a, b) not in self.index for a in elements for b in elements):
             raise ValueError("element list is not closed under composition")
 
@@ -96,6 +100,7 @@ class FiniteGroupTable:
 
     @classmethod
     def cyclic(cls, n: int):
+        _check_degree(n)
         if n == 1:
             return cls(1, [(0,)], name="C1")
         gen = tuple((i + 1) % n for i in range(n))
@@ -103,6 +108,7 @@ class FiniteGroupTable:
 
     @classmethod
     def symmetric(cls, n: int):
+        _check_degree(n)
         gens = [tuple([1, 0] + list(range(2, n)))] if n >= 2 else []
         if n >= 2:
             gens.append(tuple(list(range(1, n)) + [0]))
@@ -110,6 +116,7 @@ class FiniteGroupTable:
 
     @classmethod
     def alternating(cls, n: int):
+        _check_degree(n)
         if n < 3:
             return cls(n, [identity_perm(n)], name=f"A{n}")
         gens = []
@@ -163,13 +170,14 @@ class FiniteGroupTable:
                 remaining -= orbit
             classes.sort(key=lambda cl: self.index[cl[0]])
             self._classes = tuple(classes)
+            self._class_of = {g: cl for cl in classes for g in cl}
         return self._classes
 
     def conjugacy_class_of(self, g: Permutation) -> tuple:
-        for cl in self.conjugacy_classes():
-            if g in cl:
-                return cl
-        raise ValueError("element not in the group")
+        self.conjugacy_classes()
+        if g not in self._class_of:
+            raise ValueError("element not in the group")
+        return self._class_of[g]
 
     def centralizer(self, g: Permutation) -> list:
         return [u for u in self.elements if perm_mul(u, g) == perm_mul(g, u)]
@@ -201,23 +209,30 @@ class FiniteGroupTable:
         return all(perm_mul(a, perm_inv(b)) in subset for a in subset for b in subset)
 
     def all_subgroups(self) -> list:
-        """Every subgroup, found by closing the cyclic subgroups under joins.
+        """Every subgroup, found by joining subgroups with cyclic subgroups
+        until nothing new appears.  Every subgroup is the join of the cyclic
+        subgroups it contains, and joining h with an element g is joining it
+        with <g>, so one join per cyclic subgroup not inside h finds them
+        all.  Each subgroup is closed from the few generators it was first
+        reached with, never from all its members.
         Deterministic order: by size, then by sorted member indices."""
-        cyclic = {self.subgroup_closure([g]) for g in self.elements}
-        found = set(cyclic)
-        frontier = set(cyclic)
+        cyclic = {}  # cyclic subgroup -> its least-index generator
+        for g in self.elements:
+            cyclic.setdefault(self.subgroup_closure([g]), g)
+        found = {c: (g,) for c, g in cyclic.items()}  # subgroup -> generators
+        frontier = list(found)
         while frontier:
-            nxt = set()
+            nxt = []
             for h in frontier:
-                for g in self.elements:
+                for g in cyclic.values():
                     if g in h:
                         continue
-                    joined = self.subgroup_closure(list(h) + [g])
+                    gens = found[h] + (g,)
+                    joined = self.subgroup_closure(gens)
                     if joined not in found:
-                        found.add(joined)
-                        nxt.add(joined)
+                        found[joined] = gens
+                        nxt.append(joined)
             frontier = nxt
-        found.add(frozenset([self.identity]))
         return sorted(
             found, key=lambda s: (len(s), sorted(self.index[g] for g in s))
         )
@@ -233,6 +248,11 @@ class FiniteGroupTable:
                 seen.add(coset)
                 reps.append(w)
         return reps
+
+
+def _check_degree(n: int):
+    if n < 1:
+        raise ValueError(f"group degree must be at least 1, got {n}")
 
 
 # -- the two sides of the identity --------------------------------------------
@@ -300,19 +320,41 @@ def geometric_side(group: FiniteGroupTable, subgroup, phi) -> Fraction:
     return total
 
 
+def _class_weight(group_order: int, class_size: int, sub_order: int, sub_class_size: int) -> Fraction:
+    """|Z_G(h)| / |Z_H(h)| by orbit-stabilizer: (|G|/|h^G|) / (|H|/|h^H|)."""
+    return Fraction(group_order * sub_class_size, class_size * sub_order)
+
+
 def verify_trace_formula(group: FiniteGroupTable, subgroup):
-    """Check the identity on the full delta-function basis.
+    """Check the identity on the full delta-function basis, one conjugacy
+    class of the group at a time.
 
     By linearity, equality on every delta function proves it for all test
-    functions.  Returns (True, None) or (False, first failing element).
+    functions.  One representative per class suffices:
+    - the fixed-coset count is a class function, because w -> u w maps the
+      cosets fixed by g onto those fixed by u g u^{-1};
+    - the geometric side on delta_g depends only on the class g^G, since it
+      is the sum of the weights of the subgroup classes inside g^G;
+    so equality at one element of each class is equality on the whole
+    delta basis.  The spectral side still counts fixed cosets directly,
+    never through Frobenius's formula, so the two sides stay independent;
+    `induced_trace` and `geometric_side` remain as the per-delta reference.
+    Classes are ordered by their least member, which is the one checked, so
+    a failing class yields the least-index failing element.
+
+    Returns (True, None) or (False, first failing element).
     """
     subgroup = frozenset(subgroup)
     if not group.is_subgroup(subgroup):
         raise ValueError("subgroup argument is not a subgroup")
-    for g in group.elements:
-        spectral = induced_trace(group, subgroup, g)
-        geometric = geometric_side(group, subgroup, delta_function(group, g))
-        if spectral != geometric:
+    geometric = {cl[0]: 0 for cl in group.conjugacy_classes()}
+    for hcl in _subgroup_classes(group, subgroup):
+        cl = group.conjugacy_class_of(hcl[0])
+        geometric[cl[0]] += _class_weight(len(group), len(cl), len(subgroup), len(hcl))
+    cosets = [(perm_inv(w), w) for w in group.coset_reps(subgroup)]
+    for g, geo in geometric.items():
+        spectral = sum(1 for wi, w in cosets if perm_mul(wi, perm_mul(g, w)) in subgroup)
+        if spectral != geo:
             return False, g
     return True, None
 

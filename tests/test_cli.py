@@ -1,9 +1,12 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from hensel import cli
 from hensel.cli import main
 
 
@@ -213,6 +216,15 @@ def test_hecke_subcommand(capsys):
     assert payload["results"]["is_eigenform"] is True
 
 
+def test_hecke_input_truncation_ceiling_exit_2(capsys, monkeypatch):
+    # a stand-in delta shows the check runs before any series is built
+    monkeypatch.setattr(cli.qseries, "delta", None)
+    limit = cli.HECKE_MAX_INPUT_TRUNCATION
+    code, out, err = run_cli(capsys, "hecke", "--p", "2", "--truncation", str(limit // 2 + 1))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and str(limit) in err
+
+
 def test_theta_subcommand(capsys):
     code, payload = run_json(capsys, "theta", "--t", "1")
     assert code == 0
@@ -257,6 +269,24 @@ def test_trace_named_group(capsys):
     assert code == 0
     assert payload["results"]["pairs"] == 6
     assert payload["results"]["failures"] == 0
+
+
+@pytest.mark.parametrize("group", ["C0", "S0", "A0"])
+def test_trace_degree_zero_exit_2(capsys, group):
+    code, out, err = run_cli(capsys, "trace", "--group", group)
+    assert code == 2 and out == ""
+    assert "degree" in err
+
+
+def test_import_starts_no_pool_machinery():
+    # concurrent.futures (and the logging it imports) is loaded only by a
+    # sweep that runs a pool, not by every check
+    probe = "import sys, hensel.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_trace_generators_and_subgroup(capsys):

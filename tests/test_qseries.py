@@ -35,6 +35,28 @@ def delta_naive(truncation):
     return QExpansion(12, (0, *acc))
 
 
+def delta_pentagonal(truncation):
+    """Oracle: q prod (1 - q^n)^24 as 24 sparse passes of Euler's pentagonal
+    series prod (1 - q^n) = sum_k (-1)^k q^{k(3k -+ 1)/2}."""
+    t = truncation - 1
+    terms = [(0, 1)]
+    k = 1
+    while k * (3 * k - 1) // 2 <= t:
+        sign = -1 if k % 2 else 1
+        terms.append((k * (3 * k - 1) // 2, sign))
+        if k * (3 * k + 1) // 2 <= t:
+            terms.append((k * (3 * k + 1) // 2, sign))
+        k += 1
+    acc = [1] + [0] * t
+    for _ in range(24):
+        out = [0] * (t + 1)
+        for g, s in terms:
+            for i in range(t + 1 - g):
+                out[i + g] += s * acc[i]
+        acc = out
+    return QExpansion(12, (0, *acc))
+
+
 # -- the cusp form ---------------------------------------------------------------
 
 
@@ -46,10 +68,27 @@ def test_delta_leading_coefficients():
     assert f.coeff(2) == -24
     assert f.coeff(3) == 252
     assert f.weight == 12 and f.level == 1
+    assert delta(1).coefficients == (0, 1)
 
 
 def test_delta_matches_naive_product_expansion():
     assert delta(60).coefficients == delta_naive(60).coefficients
+
+
+def test_delta_matches_pentagonal_product_through_2000():
+    assert delta(2000).coefficients == delta_pentagonal(2000).coefficients
+    assert delta_pentagonal(60).coefficients == delta_naive(60).coefficients
+
+
+def test_ramanujan_congruence_mod_691():
+    # Ramanujan: 691, the numerator of B_12, ties Delta to E_12 (mod 691)
+    t = 2000
+    f = delta(t)
+    sigma11 = [0] * (t + 1)
+    for d in range(1, t + 1):
+        for m in range(d, t + 1, d):
+            sigma11[m] += d**11
+    assert all((f.coeff(n) - sigma11[n]) % 691 == 0 for n in range(1, t + 1))
 
 
 def test_delta_rejects_zero_truncation():

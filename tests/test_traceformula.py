@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from hensel import traceformula
 from hensel.traceformula import (
     FiniteGroupTable,
+    _subgroup_classes,
     catalog,
     delta_function,
     geometric_side,
@@ -61,6 +63,36 @@ def test_subgroup_counts():
     assert len(FiniteGroupTable.symmetric(4).all_subgroups()) == 30
     assert len(FiniteGroupTable.alternating(4).all_subgroups()) == 10
     assert len(FiniteGroupTable.dihedral(4).all_subgroups()) == 10
+    assert len(FiniteGroupTable.alternating(5).all_subgroups()) == 59
+
+
+def all_subgroups_oracle(group):
+    """Every subgroup by joining each found subgroup with every element,
+    closing from all its members; sorted as `all_subgroups` sorts."""
+    cyclic = {group.subgroup_closure([g]) for g in group.elements}
+    found = set(cyclic)
+    frontier = set(cyclic)
+    while frontier:
+        nxt = set()
+        for h in frontier:
+            for g in group.elements:
+                if g not in h:
+                    joined = group.subgroup_closure(list(h) + [g])
+                    if joined not in found:
+                        found.add(joined)
+                        nxt.add(joined)
+        frontier = nxt
+    return sorted(found, key=lambda s: (len(s), sorted(group.index[g] for g in s)))
+
+
+def test_all_subgroups_matches_element_join_oracle():
+    # C2^3 is the one group here with a subgroup that needs three generators
+    c2_cubed = FiniteGroupTable.from_generators(
+        6, [parse_cycles(c, 6) for c in ("(1 2)", "(3 4)", "(5 6)")], name="C2^3"
+    )
+    groups = [group for _, group in catalog()] + [FiniteGroupTable.dihedral(6), c2_cubed]
+    for group in groups:
+        assert group.all_subgroups() == all_subgroups_oracle(group), group.name
 
 
 # -- orbit sums -----------------------------------------------------------------
@@ -180,6 +212,58 @@ def test_verify_dihedral_all_subgroups():
     d4 = FiniteGroupTable.dihedral(4)
     for sub in d4.all_subgroups():
         assert verify_trace_formula(d4, sub) == (True, None)
+
+
+def per_delta_witness(group, sub, geometric):
+    """Least-index element whose delta function separates the two sides,
+    with geometric(g) the geometric side on delta_g; None if none does."""
+    for g in group.elements:
+        if induced_trace(group, sub, g) != geometric(g):
+            return g
+    return None
+
+
+def test_verify_matches_per_delta_oracle():
+    groups = [group for _, group in catalog()] + [FiniteGroupTable.dihedral(6)]
+    for group in groups:
+        for sub in group.all_subgroups():
+            def geometric(g):
+                return geometric_side(group, sub, delta_function(group, g))
+
+            assert per_delta_witness(group, sub, geometric) is None, group.name
+            assert verify_trace_formula(group, sub) == (True, None), group.name
+
+
+def test_wrong_weight_witness_matches_per_delta_oracle(monkeypatch):
+    # a wrong weight on subgroup classes of size 2: both sides must then
+    # name the same least-index failing element
+    def bump(sub_class_size):
+        return 1 if sub_class_size == 2 else 0
+
+    right = traceformula._class_weight
+    monkeypatch.setattr(
+        traceformula,
+        "_class_weight",
+        lambda go, cs, so, scs: right(go, cs, so, scs) + bump(scs),
+    )
+    failures = 0
+    for group in (FiniteGroupTable.symmetric(4), FiniteGroupTable.dihedral(6)):
+        for sub in group.all_subgroups():
+            hclasses = _subgroup_classes(group, sub)
+
+            def geometric(g):
+                total = 0
+                for cl in hclasses:
+                    h = cl[0]
+                    zh = sum(1 for u in sub if perm_mul(u, h) == perm_mul(h, u))
+                    weight = Fraction(len(group.centralizer(h)), zh) + bump(len(cl))
+                    total += weight * orbital_pairing(group, h, delta_function(group, g))
+                return total
+
+            witness = per_delta_witness(group, sub, geometric)
+            assert verify_trace_formula(group, sub) == (witness is None, witness)
+            failures += witness is not None
+    assert failures > 0
 
 
 def test_perm_helpers():
