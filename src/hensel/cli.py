@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -35,28 +34,6 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass
-class RunReport:
-    subcommand: str
-    params: dict
-    results: dict
-    verdict: str
-    elapsed_seconds: float = 0.0
-    tool_version: str = __version__
-    schema_version: int = SCHEMA_VERSION
-
-    def payload(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "results": self.results,
-            "verdict": self.verdict,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-
 def _jsonable(value):
     """Make values JSON-safe and deterministic (inf -> "inf", exact types
     -> strings, tuples -> lists)."""
@@ -64,29 +41,22 @@ def _jsonable(value):
         return "inf"
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, arith.UnityRoot):
-        return f"e(2*pi*i*{value.exponent}/{value.order})"
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
     return value
 
 
-def _emit(report: RunReport, fmt: str, out=None, err=None):
-    out = out or sys.stdout
-    err = err or sys.stderr
-    payload = _jsonable(report.payload())
+def _emit(payload: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        if sys.stderr.isatty():
+            print(_to_table(payload), file=sys.stderr)
     elif fmt == "csv":
-        print(_to_csv(payload), file=out, end="")
-    elif fmt == "table":
-        print(_to_table(payload), file=out)
-    if fmt == "json" and hasattr(err, "isatty") and err.isatty():
-        print(_to_table(payload), file=err)
+        print(_to_csv(payload), end="")
+    else:
+        print(_to_table(payload))
 
 
 def _flat(prefix: str, value, rows: list):
@@ -108,7 +78,7 @@ def _to_csv(payload: dict) -> str:
     results = payload.get("results", {})
     lines = []
     if isinstance(results.get("rows"), list) and results["rows"]:
-        cols = sorted(results["rows"][0])
+        cols = sorted({col for row in results["rows"] for col in row})
         lines.append(",".join(cols))
         for row in results["rows"]:
             lines.append(",".join(str(row.get(c, "")) for c in cols))
@@ -157,36 +127,28 @@ def _int_list(text: str) -> list:
 # -- subcommand implementations ------------------------------------------------
 
 
-def cmd_fl_verify(args) -> RunReport:
+def _status(verdict) -> str:
+    """The verdict string for an `OrbitalReport.verdict` (None, True, False)."""
+    if verdict is None:
+        return NOT_APPLICABLE
+    return PASS if verdict else FAIL
+
+
+def _verify(args):
+    """Run the transfer-identity check for one element: the report, and the
+    params and results that `fl-verify` and `orbital` both print."""
     if args.p == 2 or not is_prime(args.p):
         raise UsageError(f"p must be an odd prime, got {args.p}")
     delta = _resolve_delta(args.p, args.delta)
-    window = None if args.window == "auto" else int(args.window)
     report = orbital.verify_fundamental_lemma(
         args.p,
         args.a,
         args.b,
         delta,
         kappa=args.kappa,
-        window=window,
+        window=None if args.window == "auto" else int(args.window),
         saturate=not args.no_saturate,
     )
-    results = {
-        "regime": report.regime,
-        "window": report.window,
-        "counts_by_grading": report.counts,
-        "untwisted_total": report.untwisted,
-        "twisted_total": report.twisted,
-        "closed_form": report.closed_form,
-        "expected": report.expected,
-        "saturated": report.saturated,
-        "val_a": report.val_a,
-        "val_b": report.val_b,
-    }
-    if report.verdict is None:
-        verdict = NOT_APPLICABLE
-    else:
-        verdict = PASS if report.verdict else FAIL
     params = {
         "p": args.p,
         "a": str(Fraction(args.a)),
@@ -194,9 +156,34 @@ def cmd_fl_verify(args) -> RunReport:
         "delta": str(delta),
         "kappa": args.kappa,
         "window": args.window,
-        "saturate": not args.no_saturate,
     }
-    return RunReport("fl-verify", params, results, verdict)
+    results = {
+        "regime": report.regime,
+        "window": report.window,
+        "counts_by_grading": report.counts,
+        "untwisted_total": report.untwisted,
+        "twisted_total": report.twisted,
+        "saturated": report.saturated,
+    }
+    return report, params, results
+
+
+def cmd_fl_verify(args) -> tuple:
+    report, params, results = _verify(args)
+    params["saturate"] = not args.no_saturate
+    results.update(
+        closed_form=report.closed_form,
+        expected=report.expected,
+        val_a=report.val_a,
+        val_b=report.val_b,
+    )
+    return params, results, _status(report.verdict)
+
+
+def cmd_orbital(args) -> tuple:
+    # raw counts: only a failed saturation certificate fails the run
+    report, params, results = _verify(args)
+    return params, results, PASS if report.saturated is not False else FAIL
 
 
 def _sweep_cell(cell):
@@ -210,28 +197,38 @@ def _sweep_cell(cell):
         }
     delta = smallest_nonresidue(p)
     report = orbital.verify_fundamental_lemma(p, 1, p**vb, delta, kappa=kappa)
-    closed = orbital.closed_form_count(p, vb, kappa)
-    ok = report.twisted == closed and report.saturated
-    if kappa == 1:
-        ok = ok and report.twisted == (-p) ** vb
     return {
         "p": p,
         "val_b": vb,
         "kappa": kappa,
         "delta": delta,
         "brute_force": report.twisted,
-        "closed_form": closed,
+        "closed_form": report.closed_form,
         "untwisted": report.untwisted,
         "saturated": report.saturated,
-        "status": PASS if ok else FAIL,
+        "status": _status(report.verdict),
     }
 
 
-def cmd_sweep(args) -> RunReport:
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh).get("sweep", {})
+def _load_grid(path: str) -> dict:
+    """The 'sweep' section of a config file; a usage error on a bad shape."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    grid = doc.get("sweep", {}) if isinstance(doc, dict) else None
+    if not isinstance(grid, dict):
+        raise UsageError(f"{path}: expected {{\"sweep\": {{...}}}}")
+    for key in ("p", "vb"):
+        values = grid.get(key, [])
+        if not isinstance(values, list) or any(type(v) is not int for v in values):
+            raise UsageError(f"{path}: sweep.{key} must be a list of integers")
+    kappa = grid.get("kappa", 1)
+    if type(kappa) is not int or kappa not in (0, 1):
+        raise UsageError(f"{path}: sweep.kappa must be 0 or 1")
+    return grid
+
+
+def cmd_sweep(args) -> tuple:
+    config = _load_grid(args.config) if args.config else {}
     p_list = args.p_list if args.p_list is not None else config.get("p", [])
     vb_list = args.vb_list if args.vb_list is not None else config.get("vb", [])
     kappa = args.kappa if args.kappa is not None else config.get("kappa", 1)
@@ -250,43 +247,10 @@ def cmd_sweep(args) -> RunReport:
     failed = [r for r in rows if r["status"] == FAIL]
     results = {"rows": rows, "cells": len(rows), "failures": len(failed)}
     params = {"p_list": p_list, "vb_list": vb_list, "kappa": kappa, "jobs": args.jobs}
-    return RunReport("sweep", params, results, FAIL if failed else PASS)
+    return params, results, FAIL if failed else PASS
 
 
-def cmd_orbital(args) -> RunReport:
-    if args.p == 2 or not is_prime(args.p):
-        raise UsageError(f"p must be an odd prime, got {args.p}")
-    delta = _resolve_delta(args.p, args.delta)
-    report = orbital.verify_fundamental_lemma(
-        args.p,
-        args.a,
-        args.b,
-        delta,
-        kappa=args.kappa,
-        window=None if args.window == "auto" else int(args.window),
-        saturate=not args.no_saturate,
-    )
-    results = {
-        "window": report.window,
-        "counts_by_grading": report.counts,
-        "untwisted_total": report.untwisted,
-        "twisted_total": report.twisted,
-        "saturated": report.saturated,
-        "regime": report.regime,
-    }
-    verdict = PASS if report.saturated is not False else FAIL
-    params = {
-        "p": args.p,
-        "a": str(Fraction(args.a)),
-        "b": str(Fraction(args.b)),
-        "delta": str(delta),
-        "kappa": args.kappa,
-        "window": args.window,
-    }
-    return RunReport("orbital", params, results, verdict)
-
-
-def cmd_hecke(args) -> RunReport:
+def cmd_hecke(args) -> tuple:
     if not is_prime(args.p):
         raise UsageError(f"p must be prime, got {args.p}")
     if args.p * args.truncation > HECKE_MAX_INPUT_TRUNCATION:
@@ -303,17 +267,17 @@ def cmd_hecke(args) -> RunReport:
         "input_truncation": f.truncation,
     }
     params = {"p": args.p, "truncation": args.truncation}
-    return RunReport("hecke", params, results, PASS if ok else FAIL)
+    return params, results, PASS if ok else FAIL
 
 
-def cmd_theta(args) -> RunReport:
+def cmd_theta(args) -> tuple:
     if args.t <= 0:
         raise UsageError("t must be positive")
     residual = qseries.theta_functional_equation_residual(args.t, args.truncation)
     ok = residual < args.tol
     results = {"residual": residual, "tolerance": args.tol, "terms": args.truncation}
     params = {"t": args.t, "truncation": args.truncation, "tol": args.tol}
-    return RunReport("theta", params, results, PASS if ok else FAIL)
+    return params, results, PASS if ok else FAIL
 
 
 def _resolve_character(spec: str) -> arith.DirichletCharacter:
@@ -330,7 +294,7 @@ def _resolve_character(spec: str) -> arith.DirichletCharacter:
     )
 
 
-def cmd_lseries(args) -> RunReport:
+def cmd_lseries(args) -> tuple:
     chi = _resolve_character(args.character)
     if args.s <= 1:
         raise UsageError("s must be greater than 1")
@@ -351,7 +315,7 @@ def cmd_lseries(args) -> RunReport:
         "pmax": args.pmax,
         "tol": args.tol,
     }
-    return RunReport("lseries", params, results, PASS if ok else FAIL)
+    return params, results, PASS if ok else FAIL
 
 
 def _default_character_for(d: int) -> str | None:
@@ -364,7 +328,7 @@ def _default_character_for(d: int) -> str | None:
     return None
 
 
-def cmd_frobenius(args) -> RunReport:
+def cmd_frobenius(args) -> tuple:
     spec = args.character or _default_character_for(args.d)
     if spec is None:
         raise UsageError(
@@ -382,7 +346,16 @@ def cmd_frobenius(args) -> RunReport:
         "tallies": tallies,
     }
     params = {"d": args.d, "pmax": args.pmax, "character": spec}
-    return RunReport("frobenius", params, results, FAIL if mismatches else PASS)
+    return params, results, FAIL if mismatches else PASS
+
+
+def _parse_generators(text: str, degree: int) -> list:
+    """Permutations from ';'-separated cycle strings, e.g. "(1 2);(1 2 3)"."""
+    return [
+        traceformula.parse_cycles(chunk, degree)
+        for chunk in text.split(";")
+        if chunk.strip()
+    ]
 
 
 def _resolve_group(spec: str, degree: int | None) -> traceformula.FiniteGroupTable:
@@ -396,15 +369,11 @@ def _resolve_group(spec: str, degree: int | None) -> traceformula.FiniteGroupTab
         return families[spec[:1].upper()](int(spec[1:]))
     if degree is None:
         raise UsageError("generator-style --group needs --degree")
-    gens = [
-        traceformula.parse_cycles(chunk, degree)
-        for chunk in spec.split(";")
-        if chunk.strip()
-    ]
+    gens = _parse_generators(spec, degree)
     return traceformula.FiniteGroupTable.from_generators(degree, gens, name=spec)
 
 
-def cmd_trace(args) -> RunReport:
+def cmd_trace(args) -> tuple:
     rows = []
     if args.group == "catalog":
         pairs = []
@@ -414,11 +383,7 @@ def cmd_trace(args) -> RunReport:
     else:
         group = _resolve_group(args.group, args.degree)
         if args.subgroup is not None:
-            gens = [
-                traceformula.parse_cycles(chunk, group.degree)
-                for chunk in args.subgroup.split(";")
-                if chunk.strip()
-            ]
+            gens = _parse_generators(args.subgroup, group.degree)
             pairs = [(group, group.subgroup_closure(gens))]
         else:
             pairs = [(group, sub) for sub in group.all_subgroups()]
@@ -442,7 +407,7 @@ def cmd_trace(args) -> RunReport:
         "subgroup": args.subgroup,
         "degree": args.degree,
     }
-    return RunReport("trace", params, results, FAIL if failures else PASS)
+    return params, results, FAIL if failures else PASS
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -489,14 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     fl = sub.add_parser("fl-verify", help="twisted count against the transfer constant")
-    fl.add_argument("--p", type=int, required=True)
-    fl.add_argument("--a", type=_parse_fraction, required=True)
-    fl.add_argument("--b", type=_parse_fraction, required=True)
-    fl.add_argument("--delta", default="auto", help="non-square unit (default auto)")
-    fl.add_argument("--kappa", type=int, choices=(0, 1), default=1)
-    fl.add_argument("--window", default="auto", help="window radius (default auto)")
-    fl.add_argument("--no-saturate", action="store_true")
-    fl.set_defaults(func=cmd_fl_verify)
 
     sw = sub.add_parser("sweep", help="closed form vs brute force over a grid")
     sw.add_argument("--p-list", type=_int_list, default=None)
@@ -506,14 +463,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(func=cmd_sweep)
 
     orb = sub.add_parser("orbital", help="stable-class counts for one element")
-    orb.add_argument("--p", type=int, required=True)
-    orb.add_argument("--a", type=_parse_fraction, required=True)
-    orb.add_argument("--b", type=_parse_fraction, required=True)
-    orb.add_argument("--delta", default="auto")
-    orb.add_argument("--kappa", type=int, choices=(0, 1), default=0)
-    orb.add_argument("--window", default="auto")
-    orb.add_argument("--no-saturate", action="store_true")
-    orb.set_defaults(func=cmd_orbital)
+    for sp, func, kappa in ((fl, cmd_fl_verify, 1), (orb, cmd_orbital, 0)):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--a", type=_parse_fraction, required=True)
+        sp.add_argument("--b", type=_parse_fraction, required=True)
+        sp.add_argument("--delta", default="auto", help="non-square unit (default auto)")
+        sp.add_argument("--kappa", type=int, choices=(0, 1), default=kappa)
+        sp.add_argument("--window", default="auto", help="window radius (default auto)")
+        sp.add_argument("--no-saturate", action="store_true")
+        sp.set_defaults(func=func)
 
     hk = sub.add_parser("hecke", help="eigenform check for the weight-12 cusp form")
     hk.add_argument("--p", type=int, required=True)
@@ -555,18 +513,24 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         args.jobs = _resolve_jobs(args.jobs)
-        report = args.func(args)
+        params, results, verdict = args.func(args)
     except (UsageError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"hensel: error: {exc}", file=sys.stderr)
         return 2
     except PrecisionError as exc:
         print(f"hensel: precision error: {exc}", file=sys.stderr)
         return 2
-    report.elapsed_seconds = round(time.perf_counter() - start, 6)
-    _emit(report, args.format)
-    if report.verdict == FAIL:
-        return 1
-    return 0
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "subcommand": args.subcommand,
+        "params": params,
+        "results": results,
+        "verdict": verdict,
+        "elapsed_seconds": round(time.perf_counter() - start, 6),
+    }
+    _emit(_jsonable(payload), args.format)
+    return 1 if verdict == FAIL else 0
 
 
 if __name__ == "__main__":

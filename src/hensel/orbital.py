@@ -12,10 +12,9 @@ exact evaluation of the membership inequalities (see the comment above
 `_inclusion_counts` for why one evaluation settles a stratum).  Its cost
 does not grow with p.
 
-The direct scan (`_direct_counts` over `lattices.enumerate_window`, at the
-precision `_window_precision` gives) runs the full membership test on every
-class of the window.  It is kept only as the oracle that the test suite
-checks the engine against on small windows.
+The test suite checks the engine against a direct scan that runs the full
+membership test (`lattices.is_stable`) on every class of small windows
+(`lattices.enumerate_window`); that oracle lives in `tests/test_orbital.py`.
 """
 
 from __future__ import annotations
@@ -23,14 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattices import (
-    GammaElement,
-    enumerate_window,
-    grading,
-    is_stable,
-    _window_strata,
-)
-from .padics import INFINITY, valp_fraction
+from .lattices import GammaElement, _window_strata
+from .padics import valp_fraction
 from .primes import is_prime
 
 
@@ -51,32 +44,6 @@ class OrbitalReport:
     saturated: bool | None = None
     verdict: bool | None = None
     regime: str = ""
-
-
-# -- direct oracle (tests only) -------------------------------------------------
-
-
-def _window_precision(m: int, gamma: GammaElement) -> int:
-    """Digits needed for membership solves in a radius-m window, with guard.
-
-    Valuations that have to be read off during the triangular solves are
-    bounded by a small multiple of the window radius; the budget below keeps
-    every decision inside known digits (a failure raises PrecisionError
-    rather than guessing, so an insufficient budget is loud, not wrong).
-    """
-    spread = 0
-    if gamma.val_a is not INFINITY:
-        spread = max(spread, -min(0, gamma.val_a))
-    spread = max(spread, -min(0, gamma.val_b))
-    return 4 * m + 12 + 2 * spread
-
-
-def _direct_counts(gamma: GammaElement, m: int, prec: int) -> dict:
-    counts = {0: 0, 1: 0}
-    for lat in enumerate_window(gamma.p, m, prec):
-        if is_stable(lat, gamma):
-            counts[grading(lat)] += 1
-    return counts
 
 
 # -- the counting engine -------------------------------------------------------
@@ -194,7 +161,8 @@ def verify_fundamental_lemma(
     """Compare the twisted count of stable classes with the transfer constant.
 
     In the regime val(a) = 0, val(b) > 0 (so a + b sqrt(delta) is a unit of
-    the quadratic order) the expected twisted total is (-p)^{val(b)}.  When
+    the quadratic order) the expected twisted total is (-p)^{val(b)}, and the
+    verdict also requires the shell-by-shell closed form to agree.  When
     a + b sqrt(delta) is not a unit of the order the expected total is 0.
     The remaining boundary val(b) = 0 is reported without a verdict.
 
@@ -262,6 +230,8 @@ def verify_fundamental_lemma(
     verdict = None
     if expected is not None:
         verdict = twisted == expected and saturated is not False
+        if regime == "unit":
+            verdict = verdict and twisted == closed
 
     return OrbitalReport(
         p=p,

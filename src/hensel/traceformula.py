@@ -61,6 +61,22 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return tuple(images)
 
 
+def _closure(identity: Permutation, generators) -> set:
+    """Every product of the generators, breadth first from the identity."""
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in generators:
+            for h in frontier:
+                prod = perm_mul(g, h)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return seen
+
+
 class FiniteGroupTable:
     """A finite permutation group with composition tables built on demand."""
 
@@ -85,18 +101,7 @@ class FiniteGroupTable:
     @classmethod
     def from_generators(cls, degree: int, generators, name=None):
         gens = [tuple(g) for g in generators]
-        seen = {identity_perm(degree)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for g in gens:
-                for h in frontier:
-                    prod = perm_mul(g, h)
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        return cls(degree, seen, name)
+        return cls(degree, _closure(identity_perm(degree), gens), name)
 
     @classmethod
     def cyclic(cls, n: int):
@@ -189,18 +194,7 @@ class FiniteGroupTable:
         for g in gens:
             if g not in self.index:
                 raise ValueError(f"{g} is not an element of {self.name}")
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for g in gens:
-                for h in frontier:
-                    prod = perm_mul(g, h)
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(_closure(self.identity, gens))
 
     def is_subgroup(self, subset) -> bool:
         subset = frozenset(subset)

@@ -1,13 +1,18 @@
 import concurrent.futures
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from hensel import cli
+from hensel import cli, orbital
 from hensel.cli import main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +205,46 @@ def test_sweep_flags_override_config(capsys, tmp_path):
     assert len(payload["results"]["rows"]) == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"sweep": []},
+        [1],
+        {"sweep": {"p": "3", "vb": [1]}},
+        {"sweep": {"p": [3], "vb": [1], "kappa": True}},
+    ],
+    ids=["sweep-not-object", "top-level-list", "p-not-list", "kappa-not-0-or-1"],
+)
+def test_sweep_config_bad_shape_exit_2(capsys, tmp_path, doc):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("hensel: error:")
+
+
+def test_fl_verify_and_sweep_share_one_verdict(capsys, monkeypatch):
+    # a wrong closed form must fail both, since both read the report's verdict
+    monkeypatch.setenv("HENSEL_JOBS", "1")
+    monkeypatch.setattr(orbital, "closed_form_count", lambda p, vb, kappa: 0)
+    code, payload = run_json(capsys, "fl-verify", "--p", "3", "--a", "1", "--b", "3")
+    assert code == 1 and payload["verdict"] == "fail"
+    assert payload["results"]["twisted_total"] == payload["results"]["expected"] == -3
+    code, payload = run_json(capsys, "sweep", "--p-list", "3", "--vb-list", "1")
+    assert code == 1 and payload["results"]["rows"][0]["status"] == "fail"
+
+
+def test_readme_cli_commands_pass(capsys):
+    # every command of the README's CLI block runs and passes
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert argv[0] == "hensel"
+        code, payload = run_json(capsys, *argv[1:])
+        assert (code, payload["verdict"]) == (0, "pass"), argv
+
+
 def test_orbital_subcommand(capsys):
     code, payload = run_json(
         capsys, "orbital", "--p", "3", "--a", "1/3", "--b", "3"
@@ -310,6 +355,18 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("brute_force,")
     assert len(lines) == 2
+    # the header covers every row, not just the first (a val b = 0 cell
+    # carries only four of the columns)
+    code, out, _ = run_cli(
+        capsys, "--format", "csv", "sweep", "--p-list", "3", "--vb-list", "0,1",
+        "--kappa", "1",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == (
+        "brute_force,closed_form,delta,kappa,p,saturated,status,untwisted,val_b"
+    )
+    assert lines[1:] == [",,,1,3,,not-applicable,,0", "-3,-3,2,1,3,True,pass,5,1"]
 
 
 def test_table_format(capsys):

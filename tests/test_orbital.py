@@ -16,9 +16,7 @@ from hensel.lattices import (
 )
 from hensel.orbital import (
     OrbitalReport,
-    _direct_counts,
     _inclusion_counts,
-    _window_precision,
     closed_form_count,
     count_stable,
     shell_count,
@@ -34,6 +32,34 @@ def gamma(p, a, b, delta=None, prec=30):
     if delta is None:
         delta = smallest_nonresidue(p)
     return GammaElement.from_rationals(p, a, b, delta, prec)
+
+
+# -- the direct oracle ---------------------------------------------------------------
+
+
+def _window_precision(m: int, gamma: GammaElement) -> int:
+    """Digits needed for membership solves in a radius-m window, with guard.
+
+    Valuations that have to be read off during the triangular solves are
+    bounded by a small multiple of the window radius; the budget below keeps
+    every decision inside known digits (a failure raises PrecisionError
+    rather than guessing, so an insufficient budget is loud, not wrong).
+    """
+    spread = 0
+    if gamma.val_a is not INFINITY:
+        spread = max(spread, -min(0, gamma.val_a))
+    spread = max(spread, -min(0, gamma.val_b))
+    return 4 * m + 12 + 2 * spread
+
+
+def _direct_counts(gamma: GammaElement, m: int, prec: int) -> dict:
+    """Stable classes per grading class, by the full membership test on
+    every class of the window."""
+    counts = {0: 0, 1: 0}
+    for lat in enumerate_window(gamma.p, m, prec):
+        if is_stable(lat, gamma):
+            counts[grading(lat)] += 1
+    return counts
 
 
 # -- counting -------------------------------------------------------------------
