@@ -29,6 +29,11 @@ SCHEMA_VERSION = 2
 # which takes seconds at this ceiling.
 HECKE_MAX_INPUT_TRUNCATION = 100_000
 
+# Largest cutoffs `lseries` and `frobenius` accept: their prime sieves hold
+# one byte per integer up to the cutoff, and each check takes seconds there.
+LSERIES_MAX_CUTOFF = 10_000_000
+FROBENIUS_MAX_PMAX = 1_000_000
+
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
@@ -298,6 +303,9 @@ def cmd_lseries(args) -> tuple:
     chi = _resolve_character(args.character)
     if args.s <= 1:
         raise UsageError("s must be greater than 1")
+    for flag, cutoff in (("--nmax", args.nmax), ("--pmax", args.pmax)):
+        if cutoff > LSERIES_MAX_CUTOFF:
+            raise UsageError(f"{flag} {cutoff} exceeds {LSERIES_MAX_CUTOFF}")
     partial_sum = arith.dirichlet_sum_partial(chi, args.s, args.nmax)
     partial_product = arith.euler_product_partial(chi, args.s, args.pmax)
     gap = abs(partial_sum - partial_product)
@@ -334,6 +342,8 @@ def cmd_frobenius(args) -> tuple:
         raise UsageError(
             f"no built-in character for d={args.d}; pass --character explicitly"
         )
+    if args.pmax > FROBENIUS_MAX_PMAX:
+        raise UsageError(f"--pmax {args.pmax} exceeds {FROBENIUS_MAX_PMAX}")
     chi = _resolve_character(spec)
     mismatches = arith.reciprocity_check(args.d, chi, args.pmax)
     tallies = {"split": 0, "inert": 0, "ramified": 0}

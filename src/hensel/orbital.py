@@ -19,31 +19,21 @@ membership test (`lattices.is_stable`) on every class of small windows
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .lattices import GammaElement, _window_strata
 from .padics import valp_fraction
 from .primes import is_prime
 
-
-@dataclass
-class OrbitalReport:
-    """Outcome of one transfer-identity verification."""
-
-    p: int
-    val_a: int | float
-    val_b: int
-    kappa: int
-    window: int
-    counts: dict = field(default_factory=dict)  # grading class -> count
-    untwisted: int = 0
-    twisted: int = 0
-    expected: int | None = None
-    closed_form: int | None = None
-    saturated: bool | None = None
-    verdict: bool | None = None
-    regime: str = ""
+# Outcome of one transfer-identity verification.  counts maps each grading
+# class to its stable-class count; expected, closed_form, saturated and
+# verdict are None where they do not apply.
+OrbitalReport = namedtuple(
+    "OrbitalReport",
+    "p val_a val_b kappa window counts untwisted twisted expected"
+    " closed_form saturated verdict regime",
+)
 
 
 # -- the counting engine -------------------------------------------------------

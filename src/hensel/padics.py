@@ -276,10 +276,6 @@ def from_rational(numerator, denominator, p, prec) -> PadicScalar:
     return PadicScalar(p, vn - vd, unit, prec, exact=x)
 
 
-def valuation(x: PadicScalar):
-    return x.valuation
-
-
 def is_square_unit(u: PadicScalar) -> bool:
     """Whether a unit of Z_p (p odd) is a square.
 

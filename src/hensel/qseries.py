@@ -11,25 +11,24 @@ point, with explicit truncation tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .primes import is_prime
 
 
-@dataclass(frozen=True)
 class QExpansion:
     """A q-series sum a_n q^n known exactly through n = truncation."""
 
-    weight: int
-    coefficients: tuple
-    level: int = 1
+    __slots__ = ("weight", "coefficients", "level")
 
-    def __post_init__(self):
-        if len(self.coefficients) < 1:
+    def __init__(self, weight: int, coefficients: tuple, level: int = 1):
+        if len(coefficients) < 1:
             raise ValueError("need at least the constant coefficient")
-        if self.level < 1:
+        if level < 1:
             raise ValueError("level must be a positive integer")
+        self.weight = weight
+        self.coefficients = coefficients
+        self.level = level
 
     @property
     def truncation(self) -> int:
@@ -44,26 +43,10 @@ class QExpansion:
     def is_cuspidal(self) -> bool:
         return self.coefficients[0] == 0
 
-    def __add__(self, other):
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        if self.weight != other.weight or self.level != other.level:
-            raise ValueError("can only add expansions of equal weight and level")
-        t = min(self.truncation, other.truncation)
-        coeffs = tuple(
-            self.coefficients[n] + other.coefficients[n] for n in range(t + 1)
-        )
-        return QExpansion(self.weight, coeffs, self.level)
-
     def scaled(self, factor) -> "QExpansion":
         return QExpansion(
             self.weight, tuple(factor * c for c in self.coefficients), self.level
         )
-
-    def truncated(self, t: int) -> "QExpansion":
-        if t > self.truncation:
-            raise ValueError("cannot extend a truncated series")
-        return QExpansion(self.weight, self.coefficients[: t + 1], self.level)
 
 
 def delta(truncation: int) -> QExpansion:

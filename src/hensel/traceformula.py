@@ -7,8 +7,9 @@ the centralizer-size quotient |Z_G(h)| / |Z_H(h)|.  Checking equality on
 every delta function is a full verification: the delta functions span all
 test functions, and both sides are linear.  Both sides on delta_g depend
 only on the conjugacy class of g, so `verify_trace_formula` checks one
-element per class; the per-element sides `induced_trace` and
-`geometric_side` are kept as the reference it is tested against.
+element per class.  The per-element sides, evaluated on each delta function
+in turn, are the reference it is tested against; they live in
+`tests/test_traceformula.py`.
 
 Groups are tables of permutations (0-based image tuples) closed under
 composition; the spectral side is computed directly from cosets, never
@@ -20,6 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 Permutation = tuple[int, ...]
+
+# Largest group order accepted, S5's: the closure check in FiniteGroupTable
+# is quadratic in the order, and S6 (order 720) ran for more than 90 s.
+MAX_GROUP_ORDER = 120
 
 
 def identity_perm(degree: int) -> Permutation:
@@ -62,7 +67,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 
 def _closure(identity: Permutation, generators) -> set:
-    """Every product of the generators, breadth first from the identity."""
+    """Every product of the generators, breadth first from the identity;
+    a ValueError as soon as there are more than MAX_GROUP_ORDER."""
     seen = {identity}
     frontier = [identity]
     while frontier:
@@ -71,6 +77,8 @@ def _closure(identity: Permutation, generators) -> set:
             for h in frontier:
                 prod = perm_mul(g, h)
                 if prod not in seen:
+                    if len(seen) == MAX_GROUP_ORDER:
+                        raise ValueError(f"group order exceeds {MAX_GROUP_ORDER}")
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
@@ -166,16 +174,8 @@ class FiniteGroupTable:
         """Disjoint classes covering the group, ordered by least member index;
         members inside a class are ordered by index as well."""
         if self._classes is None:
-            remaining = set(self.elements)
-            classes = []
-            while remaining:
-                g = min(remaining, key=self.index.__getitem__)
-                orbit = {perm_mul(u, perm_mul(g, perm_inv(u))) for u in self.elements}
-                classes.append(tuple(sorted(orbit, key=self.index.__getitem__)))
-                remaining -= orbit
-            classes.sort(key=lambda cl: self.index[cl[0]])
-            self._classes = tuple(classes)
-            self._class_of = {g: cl for cl in classes for g in cl}
+            self._classes = tuple(_subgroup_classes(self, self.elements))
+            self._class_of = {g: cl for cl in self._classes for g in cl}
         return self._classes
 
     def conjugacy_class_of(self, g: Permutation) -> tuple:
@@ -183,9 +183,6 @@ class FiniteGroupTable:
         if g not in self._class_of:
             raise ValueError("element not in the group")
         return self._class_of[g]
-
-    def centralizer(self, g: Permutation) -> list:
-        return [u for u in self.elements if perm_mul(u, g) == perm_mul(g, u)]
 
     # -- subgroups ------------------------------------------------------------
 
@@ -252,66 +249,19 @@ def _check_degree(n: int):
 # -- the two sides of the identity --------------------------------------------
 
 
-def delta_function(group: FiniteGroupTable, g: Permutation) -> list:
-    """The test function supported at g with value 1 (indexed by element)."""
-    phi = [0] * len(group)
-    phi[group.index[g]] = 1
-    return phi
-
-
-def orbital_pairing(group: FiniteGroupTable, gamma: Permutation, phi) -> Fraction:
-    """Sum of phi over the conjugacy class of gamma in the full group."""
-    if gamma not in group.index:
-        raise ValueError("gamma is not an element of the group")
-    return sum(phi[group.index[g]] for g in group.conjugacy_class_of(gamma))
-
-
-def induced_trace(group: FiniteGroupTable, subgroup, g: Permutation) -> int:
-    """Number of cosets w*H fixed by g, i.e. with w^{-1} g w in H.
-
-    This is the character of the permutation representation on G/H at g;
-    at the identity it is the index, and for the trivial subgroup it is the
-    regular-representation character (|G| at 1, zero elsewhere).
-    """
-    subgroup = frozenset(subgroup)
-    if not group.is_subgroup(subgroup):
-        raise ValueError("subgroup argument is not a subgroup")
-    count = 0
-    for w in group.coset_reps(subgroup):
-        if perm_mul(perm_inv(w), perm_mul(g, w)) in subgroup:
-            count += 1
-    return count
-
-
-def _subgroup_classes(group: FiniteGroupTable, subgroup: frozenset) -> list:
-    """Conjugacy classes of the subgroup under its own conjugation action."""
+def _subgroup_classes(group: FiniteGroupTable, subgroup) -> list:
+    """Conjugacy classes of the subgroup under its own conjugation action.
+    Each class is the orbit of the least-index member not yet classed, so
+    the classes come out ordered by least member index."""
     members = sorted(subgroup, key=group.index.__getitem__)
     remaining = set(members)
     classes = []
     while remaining:
         h = min(remaining, key=group.index.__getitem__)
         orbit = {perm_mul(u, perm_mul(h, perm_inv(u))) for u in members}
-        classes.append(sorted(orbit, key=group.index.__getitem__))
+        classes.append(tuple(sorted(orbit, key=group.index.__getitem__)))
         remaining -= orbit
     return classes
-
-
-def geometric_side(group: FiniteGroupTable, subgroup, phi) -> Fraction:
-    """Sum over H-classes of |Z_G(h)|/|Z_H(h)| times the orbit sum of phi."""
-    subgroup = frozenset(subgroup)
-    if not group.is_subgroup(subgroup):
-        raise ValueError("subgroup argument is not a subgroup")
-    total = Fraction(0)
-    for cl in _subgroup_classes(group, subgroup):
-        h = cl[0]
-        zg = len(group.centralizer(h))
-        zh = sum(
-            1
-            for u in subgroup
-            if perm_mul(u, h) == perm_mul(h, u)
-        )
-        total += Fraction(zg, zh) * orbital_pairing(group, h, phi)
-    return total
 
 
 def _class_weight(group_order: int, class_size: int, sub_order: int, sub_class_size: int) -> Fraction:
@@ -331,8 +281,9 @@ def verify_trace_formula(group: FiniteGroupTable, subgroup):
       is the sum of the weights of the subgroup classes inside g^G;
     so equality at one element of each class is equality on the whole
     delta basis.  The spectral side still counts fixed cosets directly,
-    never through Frobenius's formula, so the two sides stay independent;
-    `induced_trace` and `geometric_side` remain as the per-delta reference.
+    never through Frobenius's formula, so the two sides stay independent.
+    The per-delta reference (`induced_trace`, `geometric_side`) is in
+    `tests/test_traceformula.py`.
     Classes are ordered by their least member, which is the one checked, so
     a failing class yields the least-index failing element.
 

@@ -6,10 +6,11 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
-from hensel import cli, orbital
+from hensel import cli, orbital, traceformula
 from hensel.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -285,6 +286,30 @@ def test_lseries_subcommand(capsys):
     assert abs(payload["results"]["partial_sum"] - 0.9159655941) < 1e-6
 
 
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (("lseries", "--nmax"), cli.LSERIES_MAX_CUTOFF),
+        (("lseries", "--pmax"), cli.LSERIES_MAX_CUTOFF),
+        (("frobenius", "--d", "-1", "--pmax"), cli.FROBENIUS_MAX_PMAX),
+    ],
+)
+def test_cutoff_ceilings_exit_2(capsys, monkeypatch, argv, limit, over):
+    # stand-ins for the sums, the product and the sieve: the ceiling itself
+    # is accepted, and one above it exits 2 before any of them runs
+    for name in ("dirichlet_sum_partial", "euler_product_partial"):
+        monkeypatch.setattr(cli.arith, name, lambda *args: 0.0)
+    monkeypatch.setattr(cli.arith, "reciprocity_check", lambda *args: [])
+    monkeypatch.setattr(cli, "primes_upto", lambda n: [])
+    code, out, err = run_cli(capsys, *argv, str(limit + over))
+    if over:
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and str(limit) in err
+    else:
+        assert code == 0
+
+
 def test_lseries_unknown_character(capsys):
     code, out, err = run_cli(capsys, "lseries", "--character", "bogus")
     assert code == 2
@@ -323,15 +348,35 @@ def test_trace_degree_zero_exit_2(capsys, group):
     assert "degree" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--group", "S6"),
+        ("--group", "S9"),
+        ("--group", "(1 2);(1 2 3 4 5 6)", "--degree", "6"),
+    ],
+)
+def test_trace_group_order_ceiling_exit_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "trace", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert str(traceformula.MAX_GROUP_ORDER) in err
+
+
 def test_import_starts_no_pool_machinery():
     # concurrent.futures (and the logging it imports) is loaded only by a
-    # sweep that runs a pool, not by every check
-    probe = "import sys, hensel.cli; print('concurrent.futures' in sys.modules)"
+    # sweep that runs a pool, and dataclasses (with inspect) by no check
+    probe = (
+        "import sys, hensel.cli; print([m for m in "
+        "('concurrent.futures', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_trace_generators_and_subgroup(capsys):

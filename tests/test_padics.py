@@ -11,7 +11,6 @@ from hensel.padics import (
     PrecisionError,
     from_rational,
     is_square_unit,
-    valuation,
     valp_fraction,
 )
 
@@ -69,9 +68,9 @@ def test_square_of_six_base_three():
 
 
 def test_valuation_examples():
-    assert valuation(from_rational(9, 1, 3, 4)) == 2
-    assert valuation(PadicScalar.zero(3)) == INFINITY
-    assert valuation(from_rational(7, 25, 5, 4)) == -2
+    assert from_rational(9, 1, 3, 4).valuation == 2
+    assert PadicScalar.zero(3).valuation == INFINITY
+    assert from_rational(7, 25, 5, 4).valuation == -2
 
 
 def test_is_square_unit():

@@ -96,6 +96,13 @@ def test_delta_rejects_zero_truncation():
         delta(0)
 
 
+def test_expansion_rejects_empty_series_and_bad_level():
+    with pytest.raises(ValueError, match="constant coefficient"):
+        QExpansion(12, ())
+    with pytest.raises(ValueError, match="level"):
+        QExpansion(12, (0, 1), level=0)
+
+
 # -- the averaging operator --------------------------------------------------------
 
 

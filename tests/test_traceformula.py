@@ -5,17 +5,71 @@ import pytest
 from hensel import traceformula
 from hensel.traceformula import (
     FiniteGroupTable,
+    Permutation,
     _subgroup_classes,
     catalog,
-    delta_function,
-    geometric_side,
-    induced_trace,
-    orbital_pairing,
     parse_cycles,
     perm_inv,
     perm_mul,
     verify_trace_formula,
 )
+
+
+# -- the per-delta reference: both sides of the identity on one test function
+# at a time, against which verify_trace_formula's per-class check is tested
+
+
+def delta_function(group: FiniteGroupTable, g: Permutation) -> list:
+    """The test function supported at g with value 1 (indexed by element)."""
+    phi = [0] * len(group)
+    phi[group.index[g]] = 1
+    return phi
+
+
+def orbital_pairing(group: FiniteGroupTable, gamma: Permutation, phi) -> Fraction:
+    """Sum of phi over the conjugacy class of gamma in the full group."""
+    if gamma not in group.index:
+        raise ValueError("gamma is not an element of the group")
+    return sum(phi[group.index[g]] for g in group.conjugacy_class_of(gamma))
+
+
+def induced_trace(group: FiniteGroupTable, subgroup, g: Permutation) -> int:
+    """Number of cosets w*H fixed by g, i.e. with w^{-1} g w in H.
+
+    This is the character of the permutation representation on G/H at g;
+    at the identity it is the index, and for the trivial subgroup it is the
+    regular-representation character (|G| at 1, zero elsewhere).
+    """
+    subgroup = frozenset(subgroup)
+    if not group.is_subgroup(subgroup):
+        raise ValueError("subgroup argument is not a subgroup")
+    count = 0
+    for w in group.coset_reps(subgroup):
+        if perm_mul(perm_inv(w), perm_mul(g, w)) in subgroup:
+            count += 1
+    return count
+
+
+def centralizer(group: FiniteGroupTable, g: Permutation) -> list:
+    return [u for u in group.elements if perm_mul(u, g) == perm_mul(g, u)]
+
+
+def geometric_side(group: FiniteGroupTable, subgroup, phi) -> Fraction:
+    """Sum over H-classes of |Z_G(h)|/|Z_H(h)| times the orbit sum of phi."""
+    subgroup = frozenset(subgroup)
+    if not group.is_subgroup(subgroup):
+        raise ValueError("subgroup argument is not a subgroup")
+    total = Fraction(0)
+    for cl in _subgroup_classes(group, subgroup):
+        h = cl[0]
+        zg = len(centralizer(group, h))
+        zh = sum(
+            1
+            for u in subgroup
+            if perm_mul(u, h) == perm_mul(h, u)
+        )
+        total += Fraction(zg, zh) * orbital_pairing(group, h, phi)
+    return total
 
 
 def test_parse_cycles():
@@ -56,6 +110,13 @@ def test_s3_class_sizes():
 
 def test_s4_has_five_classes():
     assert len(FiniteGroupTable.symmetric(4).conjugacy_classes()) == 5
+
+
+def test_group_order_bound():
+    # S5 has exactly the largest order accepted; a group one larger is refused
+    assert len(FiniteGroupTable.symmetric(5)) == traceformula.MAX_GROUP_ORDER
+    with pytest.raises(ValueError, match="exceeds 120"):
+        FiniteGroupTable.cyclic(121)
 
 
 def test_subgroup_counts():
@@ -256,7 +317,7 @@ def test_wrong_weight_witness_matches_per_delta_oracle(monkeypatch):
                 for cl in hclasses:
                     h = cl[0]
                     zh = sum(1 for u in sub if perm_mul(u, h) == perm_mul(h, u))
-                    weight = Fraction(len(group.centralizer(h)), zh) + bump(len(cl))
+                    weight = Fraction(len(centralizer(group, h)), zh) + bump(len(cl))
                     total += weight * orbital_pairing(group, h, delta_function(group, g))
                 return total
 
