@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -122,6 +121,14 @@ def _resolve_delta(p: int, delta: str) -> Fraction:
     return _parse_fraction(delta)
 
 
+def _check_cutoff(flag: str, value: int, low: int, high=math.inf):
+    """A usage error unless low <= value <= high."""
+    if value < low:
+        raise UsageError(f"{flag} {value} is below {low}")
+    if value > high:
+        raise UsageError(f"{flag} {value} exceeds {high}")
+
+
 def _int_list(text: str) -> list:
     text = text.strip()
     if not text:
@@ -191,8 +198,7 @@ def cmd_orbital(args) -> tuple:
     return params, results, PASS if report.saturated is not False else FAIL
 
 
-def _sweep_cell(cell):
-    p, vb, kappa = cell
+def _sweep_cell(p, vb, kappa):
     if vb <= 0:
         return {
             "p": p,
@@ -215,43 +221,14 @@ def _sweep_cell(cell):
     }
 
 
-def _load_grid(path: str) -> dict:
-    """The 'sweep' section of a config file; a usage error on a bad shape."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    grid = doc.get("sweep", {}) if isinstance(doc, dict) else None
-    if not isinstance(grid, dict):
-        raise UsageError(f"{path}: expected {{\"sweep\": {{...}}}}")
-    for key in ("p", "vb"):
-        values = grid.get(key, [])
-        if not isinstance(values, list) or any(type(v) is not int for v in values):
-            raise UsageError(f"{path}: sweep.{key} must be a list of integers")
-    kappa = grid.get("kappa", 1)
-    if type(kappa) is not int or kappa not in (0, 1):
-        raise UsageError(f"{path}: sweep.kappa must be 0 or 1")
-    return grid
-
-
 def cmd_sweep(args) -> tuple:
-    config = _load_grid(args.config) if args.config else {}
-    p_list = args.p_list if args.p_list is not None else config.get("p", [])
-    vb_list = args.vb_list if args.vb_list is not None else config.get("vb", [])
-    kappa = args.kappa if args.kappa is not None else config.get("kappa", 1)
-    for p in p_list:
+    for p in args.p_list:
         if p == 2 or not is_prime(p):
             raise UsageError(f"p must be an odd prime, got {p}")
-    cells = [(p, vb, kappa) for p in p_list for vb in vb_list]
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        import concurrent.futures  # only a pool needs it; it imports logging
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
+    rows = [_sweep_cell(p, vb, args.kappa) for p in args.p_list for vb in args.vb_list]
     failed = [r for r in rows if r["status"] == FAIL]
     results = {"rows": rows, "cells": len(rows), "failures": len(failed)}
-    params = {"p_list": p_list, "vb_list": vb_list, "kappa": kappa, "jobs": args.jobs}
+    params = {"p_list": args.p_list, "vb_list": args.vb_list, "kappa": args.kappa}
     return params, results, FAIL if failed else PASS
 
 
@@ -278,6 +255,7 @@ def cmd_hecke(args) -> tuple:
 def cmd_theta(args) -> tuple:
     if args.t <= 0:
         raise UsageError("t must be positive")
+    _check_cutoff("--truncation", args.truncation, 1)
     residual = qseries.theta_functional_equation_residual(args.t, args.truncation)
     ok = residual < args.tol
     results = {"residual": residual, "tolerance": args.tol, "terms": args.truncation}
@@ -303,9 +281,8 @@ def cmd_lseries(args) -> tuple:
     chi = _resolve_character(args.character)
     if args.s <= 1:
         raise UsageError("s must be greater than 1")
-    for flag, cutoff in (("--nmax", args.nmax), ("--pmax", args.pmax)):
-        if cutoff > LSERIES_MAX_CUTOFF:
-            raise UsageError(f"{flag} {cutoff} exceeds {LSERIES_MAX_CUTOFF}")
+    _check_cutoff("--nmax", args.nmax, 1, LSERIES_MAX_CUTOFF)
+    _check_cutoff("--pmax", args.pmax, 2, LSERIES_MAX_CUTOFF)
     partial_sum = arith.dirichlet_sum_partial(chi, args.s, args.nmax)
     partial_product = arith.euler_product_partial(chi, args.s, args.pmax)
     gap = abs(partial_sum - partial_product)
@@ -342,8 +319,7 @@ def cmd_frobenius(args) -> tuple:
         raise UsageError(
             f"no built-in character for d={args.d}; pass --character explicitly"
         )
-    if args.pmax > FROBENIUS_MAX_PMAX:
-        raise UsageError(f"--pmax {args.pmax} exceeds {FROBENIUS_MAX_PMAX}")
+    _check_cutoff("--pmax", args.pmax, 2, FROBENIUS_MAX_PMAX)
     chi = _resolve_character(spec)
     mismatches = arith.reciprocity_check(args.d, chi, args.pmax)
     tallies = {"split": 0, "inert": 0, "ramified": 0}
@@ -427,21 +403,6 @@ class UsageError(Exception):
     pass
 
 
-def _resolve_jobs(flag: int | None) -> int:
-    """--jobs, else $HENSEL_JOBS, else 1; a usage error unless it is >= 1."""
-    if flag is None:
-        source, text = "HENSEL_JOBS", os.environ.get("HENSEL_JOBS", "1")
-    else:
-        source, text = "--jobs", flag
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise UsageError(f"{source} must be an integer, got {text!r}") from None
-    if jobs < 1:
-        raise UsageError(f"{source} must be at least 1, got {jobs}")
-    return jobs
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hensel",
@@ -454,22 +415,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default="json",
         help="stdout payload format (default json)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for sweeps, at most one per cell and CPU "
-        "(default $HENSEL_JOBS or 1)",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     fl = sub.add_parser("fl-verify", help="twisted count against the transfer constant")
 
     sw = sub.add_parser("sweep", help="closed form vs brute force over a grid")
-    sw.add_argument("--p-list", type=_int_list, default=None)
-    sw.add_argument("--vb-list", type=_int_list, default=None)
-    sw.add_argument("--kappa", type=int, choices=(0, 1), default=None)
-    sw.add_argument("--config", help="JSON file with a 'sweep' grid section")
+    sw.add_argument("--p-list", type=_int_list, default=[])
+    sw.add_argument("--vb-list", type=_int_list, default=[])
+    sw.add_argument("--kappa", type=int, choices=(0, 1), default=1)
     sw.set_defaults(func=cmd_sweep)
 
     orb = sub.add_parser("orbital", help="stable-class counts for one element")
@@ -522,9 +475,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        args.jobs = _resolve_jobs(args.jobs)
         params, results, verdict = args.func(args)
-    except (UsageError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"hensel: error: {exc}", file=sys.stderr)
         return 2
     except PrecisionError as exc:

@@ -14,6 +14,7 @@ additionally satisfies min(alpha, beta, val(c)) = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 from .padics import PadicScalar, from_rational, is_square_unit
 
@@ -234,10 +235,13 @@ def is_stable(lat: Lattice2, gamma: GammaElement) -> bool:
 
 
 def _window_strata(p: int, m: int):
-    """Yield (alpha, beta, vc) strata of the homothety classes that meet the
-    window p^m L0 <= L <= p^{-m} L0 for some homothety representative.
+    """Yield (alpha, beta, vc, size) strata of the homothety classes that meet
+    the window p^m L0 <= L <= p^{-m} L0 for some homothety representative,
+    in ascending (alpha, beta).
 
     vc is the valuation of the off-diagonal entry; None encodes offdiag = 0.
+    size is the number of classes in the stratum: 1 for offdiag = 0, else
+    the (p - 1) p^{alpha - vc - 1} residues mod p^alpha of valuation vc.
     A normalized class (alpha, beta >= 0, min(alpha, beta, val c) = 0) has a
     representative inside the window exactly when
 
@@ -249,24 +253,18 @@ def _window_strata(p: int, m: int):
     for alpha in range(2 * m + 1):
         for beta in range(2 * m + 1):
             if min(alpha, beta) == 0 and max(alpha, beta) <= 2 * m:
-                yield alpha, beta, None
+                yield alpha, beta, None, 1
             for vc in range(alpha):
                 if min(alpha, beta, vc) != 0:
                     continue
                 if max(alpha, beta, alpha + beta - vc) > 2 * m:
                     continue
-                yield alpha, beta, vc
+                yield alpha, beta, vc, (p - 1) * p ** (alpha - vc - 1)
 
 
 def window_class_count(p: int, m: int) -> int:
     """Number of homothety classes meeting the window of radius m."""
-    total = 0
-    for alpha, beta, vc in _window_strata(p, m):
-        if vc is None:
-            total += 1
-        else:
-            total += (p - 1) * p ** (alpha - vc - 1)
-    return total
+    return sum(size for *_, size in _window_strata(p, m))
 
 
 def enumerate_window(p: int, m: int, prec: int | None = None) -> list[Lattice2]:
@@ -286,23 +284,14 @@ def enumerate_window(p: int, m: int, prec: int | None = None) -> list[Lattice2]:
         return tuple(c // p**i % p for i in range(alpha))
 
     out = []
-    for alpha in range(2 * m + 1):
-        for beta in range(2 * m + 1):
-            strata = {
-                vc
-                for a2, b2, vc in _window_strata(p, m)
-                if (a2, b2) == (alpha, beta)
-            }
-            if not strata:
-                continue
-            cs = [0] if None in strata else []
-            for vc in sorted(v for v in strata if v is not None):
-                cs.extend(
-                    u * p**vc
-                    for u in range(1, p ** (alpha - vc))
-                    if u % p != 0
-                )
-            cs.sort(key=lambda c: digit_vec(c, alpha))
-            for c in cs:
-                out.append(Lattice2(p, alpha, beta, from_rational(c, 1, p, prec)))
+    for (alpha, beta), strata in groupby(_window_strata(p, m), key=lambda s: s[:2]):
+        cs = []
+        for _, _, vc, _ in strata:
+            if vc is None:
+                cs.append(0)
+            else:
+                cs.extend(u * p**vc for u in range(1, p ** (alpha - vc)) if u % p != 0)
+        cs.sort(key=lambda c: digit_vec(c, alpha))
+        for c in cs:
+            out.append(Lattice2(p, alpha, beta, from_rational(c, 1, p, prec)))
     return out

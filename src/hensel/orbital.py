@@ -71,7 +71,7 @@ def _inclusion_counts(gamma: GammaElement, m: int) -> dict:
         raise ValueError("counting needs rational-born gamma entries")
     vb = valp_fraction(rb, p)
     counts = {0: 0, 1: 0}
-    for alpha, beta, vc in _window_strata(p, m):
+    for alpha, beta, vc, size in _window_strata(p, m):
         c = 0 if vc is None else p**vc
         pb = Fraction(p) ** beta
         if (
@@ -80,7 +80,6 @@ def _inclusion_counts(gamma: GammaElement, m: int) -> dict:
             and valp_fraction(ra * pb + c * rb, p) >= beta
             and valp_fraction(rdelta * pb * pb - c * c, p) >= alpha + beta - vb
         ):
-            size = 1 if vc is None else (p - 1) * p ** (alpha - vc - 1)
             counts[(alpha + beta) % 2] += size
     return counts
 

@@ -201,10 +201,7 @@ def hecke_coset_reduce(mat: Matrix) -> Matrix:
     det = a * d - b * c
     if not is_prime(det):
         raise ValueError(f"determinant {det} is not prime")
-    if c == 0:
-        g, x, y = abs(a), (1 if a > 0 else -1), 0
-    else:
-        g, x, y = _xgcd(a, c)
+    g, x, y = _xgcd(a, c)
     # [[x, y], [-c//g, a//g]] has determinant 1 and sends column 1 to (g, 0)
     b2 = x * b + y * d
     d2 = (-c // g) * b + (a // g) * d

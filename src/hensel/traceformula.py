@@ -114,24 +114,20 @@ class FiniteGroupTable:
     @classmethod
     def cyclic(cls, n: int):
         _check_degree(n)
-        if n == 1:
-            return cls(1, [(0,)], name="C1")
         gen = tuple((i + 1) % n for i in range(n))
         return cls.from_generators(n, [gen], name=f"C{n}")
 
     @classmethod
     def symmetric(cls, n: int):
         _check_degree(n)
-        gens = [tuple([1, 0] + list(range(2, n)))] if n >= 2 else []
+        gens = []
         if n >= 2:
-            gens.append(tuple(list(range(1, n)) + [0]))
+            gens = [tuple([1, 0] + list(range(2, n))), tuple(list(range(1, n)) + [0])]
         return cls.from_generators(n, gens, name=f"S{n}")
 
     @classmethod
     def alternating(cls, n: int):
         _check_degree(n)
-        if n < 3:
-            return cls(n, [identity_perm(n)], name=f"A{n}")
         gens = []
         for i in range(n - 2):
             images = list(range(n))

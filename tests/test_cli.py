@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import pathlib
@@ -123,110 +122,8 @@ def test_sweep_vb_zero_not_applicable(capsys):
     assert payload["results"]["rows"][0]["status"] == "not-applicable"
 
 
-def test_sweep_parallel_matches_serial(capsys):
-    args = ("sweep", "--p-list", "3,5", "--vb-list", "1")
-    _, serial = run_json(capsys, *args)
-    _, parallel = run_json(capsys, "--jobs", "2", *args)
-    serial.pop("elapsed_seconds")
-    parallel.pop("elapsed_seconds")
-    serial["params"].pop("jobs")
-    parallel["params"].pop("jobs")
-    assert serial == parallel
-
-
-def test_jobs_env_not_an_integer_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("HENSEL_JOBS", "abc")
-    code, out, err = run_cli(capsys, "theta", "--t", "1")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "HENSEL_JOBS" in err
-
-
-@pytest.mark.parametrize("argv", [("--jobs", "0"), ("--jobs", "-3")])
-def test_jobs_below_one_exit_2(capsys, monkeypatch, argv):
-    monkeypatch.setenv("HENSEL_JOBS", "1")
-    code, _, err = run_cli(capsys, *argv, "sweep", "--p-list", "3", "--vb-list", "1")
-    assert code == 2
-    assert "--jobs must be at least 1" in err
-    monkeypatch.setenv("HENSEL_JOBS", "0")
-    code, _, err = run_cli(capsys, "sweep", "--p-list", "3", "--vb-list", "1")
-    assert code == 2
-    assert "HENSEL_JOBS must be at least 1" in err
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize(
-    "jobs,cells,workers", [(64, 3, 3), (64, 6, 4), (2, 1, None), (1, 2, None)]
-)
-def test_sweep_pool_clamped_to_cells_and_cpus(capsys, monkeypatch, jobs, cells, workers):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    _SerialPool.sizes = []
-    vb_list = ",".join(str(v) for v in range(1, cells + 1))
-    code, payload = run_json(
-        capsys, "--jobs", str(jobs), "sweep", "--p-list", "3", "--vb-list", vb_list
-    )
-    assert code == 0 and payload["params"]["jobs"] == jobs
-    assert _SerialPool.sizes == ([] if workers is None else [workers])
-
-
-def test_sweep_config_file(capsys, tmp_path):
-    cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps({"sweep": {"p": [3], "vb": [1], "kappa": 1}}))
-    code, payload = run_json(capsys, "sweep", "--config", str(cfg))
-    assert code == 0
-    assert payload["params"]["p_list"] == [3]
-    assert payload["results"]["rows"][0]["brute_force"] == -3
-
-
-def test_sweep_flags_override_config(capsys, tmp_path):
-    cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps({"sweep": {"p": [3], "vb": [1, 2]}}))
-    code, payload = run_json(
-        capsys, "sweep", "--config", str(cfg), "--vb-list", "1"
-    )
-    assert code == 0
-    assert len(payload["results"]["rows"]) == 1
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"sweep": []},
-        [1],
-        {"sweep": {"p": "3", "vb": [1]}},
-        {"sweep": {"p": [3], "vb": [1], "kappa": True}},
-    ],
-    ids=["sweep-not-object", "top-level-list", "p-not-list", "kappa-not-0-or-1"],
-)
-def test_sweep_config_bad_shape_exit_2(capsys, tmp_path, doc):
-    cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("hensel: error:")
-
-
 def test_fl_verify_and_sweep_share_one_verdict(capsys, monkeypatch):
     # a wrong closed form must fail both, since both read the report's verdict
-    monkeypatch.setenv("HENSEL_JOBS", "1")
     monkeypatch.setattr(orbital, "closed_form_count", lambda p, vb, kappa: 0)
     code, payload = run_json(capsys, "fl-verify", "--p", "3", "--a", "1", "--b", "3")
     assert code == 1 and payload["verdict"] == "fail"
@@ -286,26 +183,41 @@ def test_lseries_subcommand(capsys):
     assert abs(payload["results"]["partial_sum"] - 0.9159655941) < 1e-6
 
 
+LSERIES_NMAX = ("lseries", "--nmax")
+LSERIES_PMAX = ("lseries", "--pmax")
+FROBENIUS_PMAX = ("frobenius", "--d", "-1", "--pmax")
+THETA_TRUNCATION = ("theta", "--t", "1", "--truncation")
+
+
 @pytest.mark.parametrize("over", [0, 1])
 @pytest.mark.parametrize(
-    "argv, limit",
+    "argv, limit, step",
     [
-        (("lseries", "--nmax"), cli.LSERIES_MAX_CUTOFF),
-        (("lseries", "--pmax"), cli.LSERIES_MAX_CUTOFF),
-        (("frobenius", "--d", "-1", "--pmax"), cli.FROBENIUS_MAX_PMAX),
+        # ceilings: the limit passes, limit + 1 exits 2
+        pytest.param(LSERIES_NMAX, cli.LSERIES_MAX_CUTOFF, 1, id="argv0-10000000"),
+        pytest.param(LSERIES_PMAX, cli.LSERIES_MAX_CUTOFF, 1, id="argv1-10000000"),
+        pytest.param(FROBENIUS_PMAX, cli.FROBENIUS_MAX_PMAX, 1, id="argv2-1000000"),
+        # floors: the limit passes, limit - 1 exits 2 instead of an empty range
+        pytest.param(LSERIES_NMAX, 1, -1, id="lseries-nmax-floor"),
+        pytest.param(LSERIES_PMAX, 2, -1, id="lseries-pmax-floor"),
+        pytest.param(FROBENIUS_PMAX, 2, -1, id="frobenius-pmax-floor"),
+        pytest.param(THETA_TRUNCATION, 1, -1, id="theta-truncation-floor"),
     ],
 )
-def test_cutoff_ceilings_exit_2(capsys, monkeypatch, argv, limit, over):
-    # stand-ins for the sums, the product and the sieve: the ceiling itself
-    # is accepted, and one above it exits 2 before any of them runs
+def test_cutoff_ceilings_exit_2(capsys, monkeypatch, argv, limit, step, over):
+    # stand-ins for the sums, the product and the sieve: the bound itself is
+    # accepted, and one past it exits 2 before any of them runs
     for name in ("dirichlet_sum_partial", "euler_product_partial"):
         monkeypatch.setattr(cli.arith, name, lambda *args: 0.0)
     monkeypatch.setattr(cli.arith, "reciprocity_check", lambda *args: [])
     monkeypatch.setattr(cli, "primes_upto", lambda n: [])
-    code, out, err = run_cli(capsys, *argv, str(limit + over))
+    monkeypatch.setattr(
+        cli.qseries, "theta_functional_equation_residual", lambda *args: 0.0
+    )
+    code, out, err = run_cli(capsys, *argv, str(limit + step * over))
     if over:
         assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and str(limit) in err
+        assert len(err.splitlines()) == 1 and err.endswith(f" {limit}\n")
     else:
         assert code == 0
 
