@@ -1,105 +1,23 @@
-"""Dirichlet characters, quadratic Frobenius classes, and local L-factors.
+"""Real Dirichlet characters, quadratic Frobenius classes, L-series checks.
 
-Characters take exact values: 0 off the units, and roots of unity stored as
-reduced (order, exponent) pairs on the units; quadratic characters surface
-their values as plain +-1 integers.  Frobenius classes for quadratic fields
-are decided through the quadratic-residue criterion, never by floating
-point; the analytic partial sums and products at the bottom are the only
-floating-point code in the module.
+Characters are real: a table of the integers +-1 on the units, and 0 off
+them.  Frobenius classes for quadratic fields are decided through the
+quadratic-residue criterion, never by floating point; the analytic partial
+sum and product at the bottom are the only floating-point code in the
+module.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
-from fractions import Fraction
 
 from .primes import is_prime, legendre_symbol, primes_upto
 
 
-class UnityRoot:
-    """An exact root of unity e^{2 pi i k / n}, stored as reduced (n, k)."""
-
-    __slots__ = ("turns",)
-
-    def __init__(self, order: int, exponent: int = 1):
-        if order < 1:
-            raise ValueError("order must be a positive integer")
-        self.turns = Fraction(exponent % order, order)
-
-    @classmethod
-    def from_turns(cls, turns: Fraction) -> "UnityRoot":
-        t = turns - math.floor(turns)
-        return cls(t.denominator, t.numerator)
-
-    @property
-    def order(self) -> int:
-        return self.turns.denominator
-
-    @property
-    def exponent(self) -> int:
-        return self.turns.numerator
-
-    def __mul__(self, other):
-        if isinstance(other, UnityRoot):
-            return UnityRoot.from_turns(self.turns + other.turns)
-        if other == 1:
-            return self
-        if other == -1:
-            return UnityRoot.from_turns(self.turns + Fraction(1, 2))
-        if other == 0:
-            return 0
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, UnityRoot):
-            return self.turns == other.turns
-        if other == 1:
-            return self.turns == 0
-        if other == -1:
-            return self.turns == Fraction(1, 2)
-        return False
-
-    def __hash__(self):
-        return hash(self.turns)
-
-    def __complex__(self):
-        return cmath.exp(2j * cmath.pi * self.turns)
-
-    @property
-    def is_real(self) -> bool:
-        return self.order <= 2
-
-    def as_int(self) -> int:
-        if self.turns == 0:
-            return 1
-        if self.turns == Fraction(1, 2):
-            return -1
-        raise ValueError(f"{self!r} is not +-1")
-
-    def __repr__(self):
-        return f"UnityRoot({self.order}, {self.exponent})"
-
-
-def _normalize_value(v):
-    if isinstance(v, UnityRoot):
-        return v
-    if v == 1:
-        return UnityRoot(1, 0)
-    if v == -1:
-        return UnityRoot(2, 1)
-    raise ValueError(f"character value must be a root of unity, got {v!r}")
-
-
-def _surface_value(v: UnityRoot):
-    return v.as_int() if v.is_real else v
-
-
 class DirichletCharacter:
-    """A completely multiplicative periodic map, zero off the units mod N."""
+    """A real character: completely multiplicative, periodic mod N, +-1 on
+    the units and zero off them."""
 
     def __init__(self, modulus: int, table: dict):
         if modulus < 1:
@@ -107,7 +25,10 @@ class DirichletCharacter:
         units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
         if sorted(table) != units:
             raise ValueError("table must cover exactly the residues coprime to N")
-        vals = {r: _normalize_value(v) for r, v in table.items()}
+        for r, v in table.items():
+            if v not in (1, -1):
+                raise ValueError(f"character value at {r} must be +-1, got {v!r}")
+        vals = {r: int(v) for r, v in table.items()}
         one = 1 % modulus
         if vals[one] != 1:
             raise ValueError("a character sends 1 to 1")
@@ -120,20 +41,12 @@ class DirichletCharacter:
         self.modulus = modulus
         self._values = vals
 
-    def __call__(self, n: int):
+    def __call__(self, n: int) -> int:
         """Value at any integer: table lookup mod N, zero on shared factors."""
         r = n % self.modulus
         if math.gcd(r, self.modulus) != 1:
             return 0
-        return _surface_value(self._values[r])
-
-    @property
-    def is_real(self) -> bool:
-        return all(v.is_real for v in self._values.values())
-
-    def value_as_complex(self, n: int) -> complex:
-        v = self(n)
-        return complex(v)
+        return self._values[r]
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus})"
@@ -226,16 +139,12 @@ def reciprocity_check(d: int, chi: DirichletCharacter, p_max: int) -> list:
 # -- L-series partial sums and products ---------------------------------------
 
 
-def dirichlet_sum_partial(chi: DirichletCharacter, s: float, n_max: int):
+def dirichlet_sum_partial(chi: DirichletCharacter, s: float, n_max: int) -> float:
     """sum_{n <= n_max} chi(n) n^{-s} for real s > 1 (float arithmetic)."""
     if s <= 1:
         raise ValueError("partial sums are only taken in the region s > 1")
-    if chi.is_real:
-        vals = [float(chi(r)) for r in range(chi.modulus)]
-        total = 0.0
-    else:
-        vals = [chi.value_as_complex(r) for r in range(chi.modulus)]
-        total = 0j
+    vals = [float(chi(r)) for r in range(chi.modulus)]
+    total = 0.0
     mod = chi.modulus
     for n in range(1, n_max + 1):
         v = vals[n % mod]
@@ -244,35 +153,13 @@ def dirichlet_sum_partial(chi: DirichletCharacter, s: float, n_max: int):
     return total
 
 
-def euler_product_partial(chi: DirichletCharacter, s: float, p_max: int):
+def euler_product_partial(chi: DirichletCharacter, s: float, p_max: int) -> float:
     """prod_{p <= p_max} (1 - chi(p) p^{-s})^{-1} for real s > 1."""
     if s <= 1:
         raise ValueError("partial products are only taken in the region s > 1")
-    total = 1.0 if chi.is_real else 1 + 0j
+    total = 1.0
     for p in primes_upto(p_max):
-        v = chi(p) if chi.is_real else chi.value_as_complex(p)
+        v = chi(p)
         if v:
             total /= 1 - v * p**-s
     return total
-
-
-def artin_local_factor(eigenvalues, p: int, s: float):
-    """prod_i (1 - lambda_i p^{-s})^{-1} from the substitution eigenvalues.
-
-    Arbitrary dimension; the caller supplies the eigenvalues of the
-    unramified substitution as numbers or UnityRoot values.
-    """
-    lams = [complex(l) if isinstance(l, UnityRoot) else l for l in eigenvalues]
-    if all(isinstance(l, (int, float, Fraction)) for l in lams):
-        out = 1.0
-    else:
-        out = 1 + 0j
-    for lam in lams:
-        out /= 1 - lam * p**-s
-    return out
-
-
-def artin_local_factor_2d(trace, det, p: int, s: float):
-    """Dimension-2 local factor straight from trace and determinant:
-    (1 - trace p^{-s} + det p^{-2s})^{-1}."""
-    return 1 / (1 - trace * p**-s + det * p ** (-2 * s))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import arith, orbital, qseries, traceformula
-from .padics import PrecisionError
+from .padics import PrecisionError, valp_fraction
 from .primes import is_prime, primes_upto, smallest_nonresidue
 
 SCHEMA_VERSION = 2
@@ -32,6 +32,14 @@ HECKE_MAX_INPUT_TRUNCATION = 100_000
 # one byte per integer up to the cutoff, and each check takes seconds there.
 LSERIES_MAX_CUTOFF = 10_000_000
 FROBENIUS_MAX_PMAX = 1_000_000
+
+# Largest `theta --truncation`: each term costs about 0.5 us, and past
+# n = 16 every term underflows to 0 at t = 1.
+THETA_MAX_TRUNCATION = 1_000_000
+
+# Largest val(b) that `fl-verify`, `orbital` and `sweep` accept, and twice
+# the largest `--window`: the count at val(b) = 100 takes about a second.
+FL_MAX_VAL_B = 100
 
 PASS = "pass"
 FAIL = "fail"
@@ -151,6 +159,12 @@ def _verify(args):
     params and results that `fl-verify` and `orbital` both print."""
     if args.p == 2 or not is_prime(args.p):
         raise UsageError(f"p must be an odd prime, got {args.p}")
+    if args.b:  # b = 0 is refused by verify_fundamental_lemma
+        _check_cutoff("val(b)", valp_fraction(args.b, args.p), -math.inf, FL_MAX_VAL_B)
+    window = None
+    if args.window != "auto":
+        window = int(args.window)
+        _check_cutoff("--window", window, -math.inf, FL_MAX_VAL_B // 2)
     delta = _resolve_delta(args.p, args.delta)
     report = orbital.verify_fundamental_lemma(
         args.p,
@@ -158,7 +172,7 @@ def _verify(args):
         args.b,
         delta,
         kappa=args.kappa,
-        window=None if args.window == "auto" else int(args.window),
+        window=window,
         saturate=not args.no_saturate,
     )
     params = {
@@ -225,11 +239,17 @@ def cmd_sweep(args) -> tuple:
     for p in args.p_list:
         if p == 2 or not is_prime(p):
             raise UsageError(f"p must be an odd prime, got {p}")
+    for vb in args.vb_list:
+        _check_cutoff("--vb-list", vb, -math.inf, FL_MAX_VAL_B)
     rows = [_sweep_cell(p, vb, args.kappa) for p in args.p_list for vb in args.vb_list]
     failed = [r for r in rows if r["status"] == FAIL]
     results = {"rows": rows, "cells": len(rows), "failures": len(failed)}
     params = {"p_list": args.p_list, "vb_list": args.vb_list, "kappa": args.kappa}
-    return params, results, FAIL if failed else PASS
+    if failed:
+        return params, results, FAIL
+    # a grid without a cell of val(b) >= 1 checks nothing
+    checked = any(r["status"] == PASS for r in rows)
+    return params, results, PASS if checked else NOT_APPLICABLE
 
 
 def cmd_hecke(args) -> tuple:
@@ -255,7 +275,7 @@ def cmd_hecke(args) -> tuple:
 def cmd_theta(args) -> tuple:
     if args.t <= 0:
         raise UsageError("t must be positive")
-    _check_cutoff("--truncation", args.truncation, 1)
+    _check_cutoff("--truncation", args.truncation, 1, THETA_MAX_TRUNCATION)
     residual = qseries.theta_functional_equation_residual(args.t, args.truncation)
     ok = residual < args.tol
     results = {"residual": residual, "tolerance": args.tol, "terms": args.truncation}

@@ -72,15 +72,6 @@ class Lattice2:
             (self.offdiag, power_of_p(self.p, self.beta, prec)),
         )
 
-    def shifted(self, h: int) -> "Lattice2":
-        """The homothetic lattice p^h L."""
-        return Lattice2(self.p, self.alpha + h, self.beta + h, self.offdiag.shift(h))
-
-
-def standard_lattice(p: int) -> Lattice2:
-    """L0 = Z_p e1 + Z_p e2."""
-    return Lattice2(p, 0, 0, PadicScalar.zero(p))
-
 
 def canonicalize(v1: Vector, v2: Vector) -> Lattice2:
     """Canonical form of the lattice spanned by two independent vectors.
@@ -105,25 +96,6 @@ def canonicalize(v1: Vector, v2: Vector) -> Lattice2:
     beta = w2.valuation
     offdiag = w1 / w2.shift(-beta)  # scale column 2 by the unit part of w2
     return Lattice2(p, alpha, beta, offdiag)
-
-
-def lattice_from_xy(p: int, x, y, prec: int) -> Lattice2:
-    """The lattice Z_p e1 + Z_p (x e1 + y e2) for rational x, y (y != 0)."""
-    x = Fraction(x)
-    y = Fraction(y)
-    zero = PadicScalar.zero(p)
-    one = from_rational(1, 1, p, prec)
-    xs = from_rational(x.numerator, x.denominator, p, prec)
-    ys = from_rational(y.numerator, y.denominator, p, prec)
-    return canonicalize((one, zero), (xs, ys))
-
-
-def homothety_normalize(lat: Lattice2) -> Lattice2:
-    """Scale by a power of p so that min(alpha, beta, val(offdiag)) = 0."""
-    m = min(lat.alpha, lat.beta, lat.offdiag.valuation)
-    if m == 0:
-        return lat
-    return lat.shifted(-m)
 
 
 def grading(lat: Lattice2) -> int:
@@ -260,11 +232,6 @@ def _window_strata(p: int, m: int):
                 if max(alpha, beta, alpha + beta - vc) > 2 * m:
                     continue
                 yield alpha, beta, vc, (p - 1) * p ** (alpha - vc - 1)
-
-
-def window_class_count(p: int, m: int) -> int:
-    """Number of homothety classes meeting the window of radius m."""
-    return sum(size for *_, size in _window_strata(p, m))
 
 
 def enumerate_window(p: int, m: int, prec: int | None = None) -> list[Lattice2]:

@@ -59,8 +59,11 @@ OrbitalReport = namedtuple(
 # * (iv) never cancels: delta is a non-square unit, so the value has
 #   valuation min(2 beta, 2 vc) exactly.
 #
-# No digit below the leading one matters, so the cost is the number of
-# strata, O(m^3), whatever p is.
+# No digit below the leading one matters, so the walk visits each stratum
+# once, whatever p is.  `_window_strata` yields exactly (2m + 1)^2 strata,
+# so the walk is O(m^2) evaluations; the cost grows faster than that
+# because each evaluation is exact arithmetic on p^beta, whose size grows
+# with m.
 
 
 def _inclusion_counts(gamma: GammaElement, m: int) -> dict:
@@ -116,12 +119,6 @@ def shell_count(p: int, w: int, vb: int) -> int:
     if (vb - w) % 2 == 0:
         return p ** ((vb - w) // 2)
     return p ** ((vb - w - 1) // 2)
-
-
-def xy_is_stable(vb: int, vy: int, vx) -> bool:
-    """The stability inequality pair for L(x, y) in the unit-norm regime:
-    -vb <= val(y) <= vb and val(x) >= (val(y) - vb)/2 (vx may be INFINITY)."""
-    return -vb <= vy <= vb and 2 * vx >= vy - vb
 
 
 def closed_form_count(p: int, vb: int, kappa: int) -> int:

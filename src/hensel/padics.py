@@ -77,19 +77,6 @@ class PadicScalar:
     def zero(cls, p: int) -> "PadicScalar":
         return cls(p, 0, 0, 0, exact=Fraction(0))
 
-    @classmethod
-    def from_digits(cls, p, v, digits) -> "PadicScalar":
-        """Scalar from explicit base-p digits (no exact rational attached)."""
-        digits = tuple(digits)
-        if any(not 0 <= d < p for d in digits):
-            raise ValueError("digits must lie in [0, p)")
-        if not digits:
-            return cls.zero(p)
-        if digits[0] == 0:
-            raise ValueError("leading digit must be nonzero")
-        unit = sum(d * p**i for i, d in enumerate(digits))
-        return cls(p, v, unit, len(digits))
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -148,13 +135,6 @@ class PadicScalar:
         return self._unit % self.p**k == other._unit % self.p**k
 
     __hash__ = None  # precision-truncated equality is not hash-compatible
-
-    def eq_exact(self, other) -> bool:
-        """Exact value equality; both scalars must carry a rational value."""
-        self._require_same_prime(other)
-        if self._exact is None or other._exact is None:
-            raise ValueError("eq_exact needs scalars with exact rational values")
-        return self._exact == other._exact
 
     # -- arithmetic --------------------------------------------------------
 

@@ -4,8 +4,8 @@ Everything algebraic here is exact (integers or fractions): the cusp-form
 expansion (Jacobi's sparse series for the cube of the product, raised to the
 eighth power in one pass of an exact recurrence), the averaging operator at
 a prime, the eigenvalue check, and the multiplicative coefficient recursion.
-Only the two analytic summation checks at the end of the module use floating
-point, with explicit truncation tails.
+Only the theta check at the end of the module uses floating point, with an
+explicit truncation tail.
 """
 
 from __future__ import annotations
@@ -38,15 +38,6 @@ class QExpansion:
         if not 0 <= n <= self.truncation:
             raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
         return self.coefficients[n]
-
-    @property
-    def is_cuspidal(self) -> bool:
-        return self.coefficients[0] == 0
-
-    def scaled(self, factor) -> "QExpansion":
-        return QExpansion(
-            self.weight, tuple(factor * c for c in self.coefficients), self.level
-        )
 
 
 def delta(truncation: int) -> QExpansion:
@@ -224,21 +215,7 @@ def _xgcd(a: int, b: int):
     return old_r, old_x, old_y
 
 
-def left_unimodular_equivalent(m1: Matrix, m2: Matrix) -> bool:
-    """Whether m2 = g m1 for some integral g with det g = 1 (exact check:
-    m2 adj(m1) must be divisible by det(m1) and the quotient unimodular)."""
-    (a, b), (c, d) = m1
-    det = a * d - b * c
-    (e, f), (g2, h) = m2
-    # m2 * adj(m1)
-    q = ((e * d - f * c, -e * b + f * a), (g2 * d - h * c, -g2 * b + h * a))
-    if any(entry % det for row in q for entry in row):
-        return False
-    u = tuple(tuple(entry // det for entry in row) for row in q)
-    return u[0][0] * u[1][1] - u[0][1] * u[1][0] == 1
-
-
-# -- analytic summation checks -------------------------------------------------
+# -- the theta check ---------------------------------------------------------
 
 
 def theta_functional_equation_residual(t: float, m_max: int = 50) -> float:
@@ -253,17 +230,3 @@ def theta_functional_equation_residual(t: float, m_max: int = 50) -> float:
     s1 = 1.0 + 2.0 * sum(math.exp(-math.pi * n * n * t) for n in range(1, m_max + 1))
     s2 = 1.0 + 2.0 * sum(math.exp(-math.pi * n * n / t) for n in range(1, m_max + 1))
     return abs(s1 - s2 / math.sqrt(t))
-
-
-def poisson_residual(s: float, m_max: int = 50) -> float:
-    """Residual of the summation formula for the Gaussian e^{-pi x^2 / s}:
-    the transform side sqrt(s) sum e^{-pi n^2 s} against sum e^{-pi n^2/s}."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    lhs = math.sqrt(s) * (
-        1.0 + 2.0 * sum(math.exp(-math.pi * n * n * s) for n in range(1, m_max + 1))
-    )
-    rhs = 1.0 + 2.0 * sum(
-        math.exp(-math.pi * n * n / s) for n in range(1, m_max + 1)
-    )
-    return abs(lhs - rhs)

@@ -150,20 +150,6 @@ class FiniteGroupTable:
     def __repr__(self):
         return f"FiniteGroupTable({self.name}, order={len(self)})"
 
-    def check_axioms(self) -> bool:
-        """Exhaustive closure, identity, inverse and associativity check."""
-        els = self.elements
-        if any(perm_mul(a, b) not in self.index for a in els for b in els):
-            return False
-        if any(perm_inv(a) not in self.index for a in els):
-            return False
-        for a in els:
-            for b in els:
-                for c in els:
-                    if perm_mul(perm_mul(a, b), c) != perm_mul(a, perm_mul(b, c)):
-                        return False
-        return True
-
     # -- conjugation structure ----------------------------------------------
 
     def conjugacy_classes(self) -> tuple:

@@ -1,15 +1,10 @@
 import math
-import random
-from fractions import Fraction
 
 import pytest
 
 from hensel.arith import (
     DirichletCharacter,
     FrobeniusClass,
-    UnityRoot,
-    artin_local_factor,
-    artin_local_factor_2d,
     dirichlet_sum_partial,
     euler_product_partial,
     frobenius_quadratic,
@@ -49,28 +44,8 @@ def test_character_table_validation():
         DirichletCharacter(4, {1: 1, 3: 1, 2: 1})  # non-unit residue
     with pytest.raises(ValueError):
         DirichletCharacter(5, {1: 1, 2: 1, 3: -1, 4: 1})  # not multiplicative
-
-
-def test_order_four_character():
-    i = UnityRoot(4, 1)
-    chi = DirichletCharacter(5, {1: 1, 2: i, 4: i * i, 3: i * i * i})
-    assert chi(2) == UnityRoot(4, 1)
-    assert chi(4) == -1  # order-2 values surface as plain integers
-    assert chi(2) * chi(3) == chi(6) == 1
-    assert not chi.is_real
-    assert abs(chi.value_as_complex(2) - 1j) < 1e-15
-
-
-def test_unity_root_arithmetic():
-    z = UnityRoot(6, 1)
-    assert z * z == UnityRoot(3, 1)
-    assert z * UnityRoot(6, 5) == 1
-    assert UnityRoot(2, 1) == -1
-    assert UnityRoot(1, 0) == 1
-    assert UnityRoot(4, 1) != 1
-    assert (-1) * UnityRoot(4, 1) == UnityRoot(4, 3)
     with pytest.raises(ValueError):
-        UnityRoot(4, 1).as_int()
+        DirichletCharacter(3, {1: 1, 2: 2})  # a value outside +-1
 
 
 # -- Frobenius classes ---------------------------------------------------------------
@@ -177,42 +152,3 @@ def test_mod_four_sum_vs_product():
     s = dirichlet_sum_partial(chi, 2.0, 10**6)
     p = euler_product_partial(chi, 2.0, 10**5)
     assert abs(s - p) < 1e-6
-
-
-def test_complex_character_sum_is_complex():
-    i = UnityRoot(4, 1)
-    chi = DirichletCharacter(5, {1: 1, 2: i, 4: i * i, 3: i * i * i})
-    val = dirichlet_sum_partial(chi, 2.0, 1000)
-    assert isinstance(val, complex) and abs(val.imag) > 0
-
-
-# -- local factors -------------------------------------------------------------------
-
-
-def test_abelian_factor_dimension_one():
-    chi = DirichletCharacter.mod_four()
-    for p in (5, 13):
-        lhs = artin_local_factor([chi(p)], p, 2.0)
-        assert abs(lhs - 1 / (1 - chi(p) * p**-2.0)) < 1e-15
-
-
-def test_geometric_factor():
-    assert abs(artin_local_factor([1], 2, 2.0) - Fraction(4, 3)) < 1e-15
-
-
-def test_trace_det_form_matches_eigenvalue_form():
-    rng = random.Random(5)
-    for _ in range(50):
-        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        p = rng.choice([2, 3, 5, 7])
-        s = rng.uniform(1.5, 3.0)
-        lhs = artin_local_factor([a, b], p, s)
-        rhs = artin_local_factor_2d(a + b, a * b, p, s)
-        assert abs(lhs - rhs) < 1e-12
-
-
-def test_unity_root_eigenvalues_accepted():
-    v = artin_local_factor([UnityRoot(4, 1), UnityRoot(4, 3)], 5, 2.0)
-    w = artin_local_factor_2d(0, 1, 5, 2.0)  # trace i + (-i) = 0, det 1
-    assert abs(v - w) < 1e-15

@@ -111,15 +111,20 @@ def test_sweep_grid(capsys):
 
 
 def test_sweep_empty_grid_passes(capsys):
+    # an empty grid checks nothing: it exits 0, but its verdict is not a pass
     code, payload = run_json(capsys, "sweep", "--p-list", "", "--vb-list", "")
     assert code == 0
     assert payload["results"]["rows"] == []
+    assert payload["verdict"] == "not-applicable"
 
 
 def test_sweep_vb_zero_not_applicable(capsys):
     code, payload = run_json(capsys, "sweep", "--p-list", "3", "--vb-list", "0")
     assert code == 0
     assert payload["results"]["rows"][0]["status"] == "not-applicable"
+    assert payload["verdict"] == "not-applicable"
+    code, payload = run_json(capsys, "sweep", "--p-list", "3", "--vb-list", "0,1")
+    assert (code, payload["verdict"]) == (0, "pass")
 
 
 def test_fl_verify_and_sweep_share_one_verdict(capsys, monkeypatch):
@@ -197,6 +202,9 @@ THETA_TRUNCATION = ("theta", "--t", "1", "--truncation")
         pytest.param(LSERIES_NMAX, cli.LSERIES_MAX_CUTOFF, 1, id="argv0-10000000"),
         pytest.param(LSERIES_PMAX, cli.LSERIES_MAX_CUTOFF, 1, id="argv1-10000000"),
         pytest.param(FROBENIUS_PMAX, cli.FROBENIUS_MAX_PMAX, 1, id="argv2-1000000"),
+        pytest.param(
+            THETA_TRUNCATION, cli.THETA_MAX_TRUNCATION, 1, id="theta-truncation-ceiling"
+        ),
         # floors: the limit passes, limit - 1 exits 2 instead of an empty range
         pytest.param(LSERIES_NMAX, 1, -1, id="lseries-nmax-floor"),
         pytest.param(LSERIES_PMAX, 2, -1, id="lseries-pmax-floor"),
@@ -215,6 +223,35 @@ def test_cutoff_ceilings_exit_2(capsys, monkeypatch, argv, limit, step, over):
         cli.qseries, "theta_functional_equation_residual", lambda *args: 0.0
     )
     code, out, err = run_cli(capsys, *argv, str(limit + step * over))
+    if over:
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.endswith(f" {limit}\n")
+    else:
+        assert code == 0
+
+
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize(
+    "template, limit",
+    [
+        # {v} is the value of the bounded quantity, {b} the b of that valuation
+        ("fl-verify --p 3 --a 1 --b {b}", cli.FL_MAX_VAL_B),
+        ("orbital --p 3 --a 1 --b {b}", cli.FL_MAX_VAL_B),
+        ("sweep --p-list 3 --vb-list 1,{v}", cli.FL_MAX_VAL_B),
+        ("fl-verify --p 3 --a 1 --b 3 --window {v}", cli.FL_MAX_VAL_B // 2),
+        ("orbital --p 3 --a 1 --b 3 --window {v}", cli.FL_MAX_VAL_B // 2),
+    ],
+    ids=["fl-verify-val-b", "orbital-val-b", "sweep-vb-list", "fl-verify-window",
+         "orbital-window"],
+)
+def test_fl_radius_ceilings_exit_2(capsys, monkeypatch, template, limit, over):
+    # a passing stand-in report for the count: the bound itself is accepted,
+    # and one past it exits 2 before any count runs
+    blank = orbital.OrbitalReport(*[None] * len(orbital.OrbitalReport._fields))
+    report = blank._replace(saturated=True, verdict=True)
+    monkeypatch.setattr(orbital, "verify_fundamental_lemma", lambda *a, **k: report)
+    v = limit + over
+    code, out, err = run_cli(capsys, *template.format(v=v, b=3**v).split())
     if over:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.endswith(f" {limit}\n")
@@ -278,11 +315,12 @@ def test_trace_group_order_ceiling_exit_2(capsys, argv):
 
 
 def test_import_starts_no_pool_machinery():
-    # concurrent.futures (and the logging it imports) is loaded only by a
-    # sweep that runs a pool, and dataclasses (with inspect) by no check
+    # no check uses concurrent.futures (with the logging it imports),
+    # dataclasses (with inspect) or complex arithmetic
     probe = (
         "import sys, hensel.cli; print([m for m in "
-        "('concurrent.futures', 'dataclasses', 'inspect') if m in sys.modules])"
+        "('concurrent.futures', 'dataclasses', 'inspect', 'cmath') "
+        "if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(

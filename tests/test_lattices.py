@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from hensel.lattices import (
     GammaElement,
     Lattice2,
+    _window_strata,
     canonicalize,
     contains,
     enumerate_window,
     grading,
-    homothety_normalize,
     is_stable,
-    lattice_from_xy,
-    standard_lattice,
-    window_class_count,
 )
 from hensel.padics import PadicScalar, from_rational
 
@@ -28,6 +25,35 @@ def frac_scalar(q, p, prec=20):
 
 def vec(p, a, b, prec=20):
     return (frac_scalar(a, p, prec), frac_scalar(b, p, prec))
+
+
+# -- lattice constructors and the class count, shared with test_orbital ----------
+
+
+def standard_lattice(p: int) -> Lattice2:
+    """L0 = Z_p e1 + Z_p e2."""
+    return Lattice2(p, 0, 0, PadicScalar.zero(p))
+
+
+def lattice_from_xy(p: int, x, y, prec: int) -> Lattice2:
+    """The lattice Z_p e1 + Z_p (x e1 + y e2) for rational x, y (y != 0)."""
+    return canonicalize(vec(p, 1, 0, prec), vec(p, x, y, prec))
+
+
+def shifted(lat: Lattice2, h: int) -> Lattice2:
+    """The homothetic lattice p^h L."""
+    return Lattice2(lat.p, lat.alpha + h, lat.beta + h, lat.offdiag.shift(h))
+
+
+def homothety_normalize(lat: Lattice2) -> Lattice2:
+    """Scale by a power of p so that min(alpha, beta, val(offdiag)) = 0."""
+    m = min(lat.alpha, lat.beta, lat.offdiag.valuation)
+    return lat if m == 0 else shifted(lat, -m)
+
+
+def window_class_count(p: int, m: int) -> int:
+    """Number of homothety classes meeting the window of radius m."""
+    return sum(size for *_, size in _window_strata(p, m))
 
 
 # -- canonical form ------------------------------------------------------------
@@ -78,7 +104,7 @@ def test_canonicalize_insufficient_precision_is_loud():
 
 def test_homothety_normalize():
     assert homothety_normalize(standard_lattice(3)) == standard_lattice(3)
-    scaled = standard_lattice(3).shifted(1)
+    scaled = shifted(standard_lattice(3), 1)
     assert homothety_normalize(scaled) == standard_lattice(3)
     L = canonicalize(vec(3, 1, 0), vec(3, Fraction(1, 3), Fraction(1, 9)))
     N = homothety_normalize(L)
@@ -89,7 +115,7 @@ def test_homothety_normalize():
 
 def test_grading():
     assert grading(standard_lattice(3)) == 0
-    assert grading(standard_lattice(3).shifted(-1)) == 0  # homothety shifts by 2
+    assert grading(shifted(standard_lattice(3), -1)) == 0  # homothety shifts by 2
     L_odd = lattice_from_xy(3, 0, 3, prec=12)
     assert grading(L_odd) == 1
     L_even = lattice_from_xy(3, 0, 9, prec=12)
@@ -157,8 +183,8 @@ def test_is_stable_invariant_under_homothety_and_rebasing():
     rng = random.Random(7)
     for lat in enumerate_window(3, 2, prec=30):
         direct = is_stable(lat, gamma)
-        assert is_stable(lat.shifted(3), gamma) == direct
-        assert is_stable(lat.shifted(-2), gamma) == direct
+        assert is_stable(shifted(lat, 3), gamma) == direct
+        assert is_stable(shifted(lat, -2), gamma) == direct
         rebased = _random_rebase(lat, rng, prec=30)
         assert is_stable(rebased, gamma) == direct
 

@@ -11,8 +11,6 @@ from hensel.lattices import (
     enumerate_window,
     grading,
     is_stable,
-    lattice_from_xy,
-    window_class_count,
 )
 from hensel.orbital import (
     OrbitalReport,
@@ -22,10 +20,10 @@ from hensel.orbital import (
     shell_count,
     twisted_count,
     verify_fundamental_lemma,
-    xy_is_stable,
 )
 from hensel.padics import INFINITY
 from hensel.primes import smallest_nonresidue
+from test_lattices import lattice_from_xy, window_class_count
 
 
 def gamma(p, a, b, delta=None, prec=30):
@@ -284,6 +282,13 @@ def test_sign_structure():
             t = twisted_count(gamma(p, 1, p**vb), 1, m=vb + 1)
             assert abs(t) == p**vb
             assert t == (-1) ** vb * abs(t)
+
+
+def xy_is_stable(vb: int, vy: int, vx) -> bool:
+    """Oracle: the stability inequality pair for L(x, y) in the unit-norm
+    regime, -vb <= val(y) <= vb and val(x) >= (val(y) - vb)/2 (vx may be
+    INFINITY)."""
+    return -vb <= vy <= vb and 2 * vx >= vy - vb
 
 
 def test_stability_matches_inequality_pair():

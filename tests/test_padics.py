@@ -1,8 +1,7 @@
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hensel.padics import (
@@ -117,15 +116,8 @@ def test_equality_truncates_to_shared_precision():
     x = from_rational(1, 1, 3, 3)
     y = from_rational(1 + 3**5, 1, 3, 8)  # differs only beyond K = 3
     assert x == y
-    assert not x.eq_exact(y)
-    assert x.eq_exact(from_rational(1, 1, 3, 9))
-
-
-def test_eq_exact_requires_rational_backing():
-    x = from_rational(1, 1, 3, 4)
-    y = PadicScalar.from_digits(3, 0, (1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        x.eq_exact(y)
+    assert x.exact_value != y.exact_value
+    assert x.exact_value == from_rational(1, 1, 3, 9).exact_value
 
 
 def test_reduce_mod_examples():

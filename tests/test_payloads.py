@@ -105,7 +105,7 @@ PAYLOADS = [
      "91b3af59f4a4e97afb06664cf8784b08beb4d00a0f1de00ae9234202a004cb85"),
     # sweep defaults and a bad prime
     ("sweep", 0, "",
-     "a398a701393992829026f44dea1bc8c9a5d685eaad2b91fa8b848919fa01a4e8"),
+     "d515f91a33e94051d15338e4639874544bb9605762040b94801a3b80f6091f0e"),
     ("sweep --p-list 4 --vb-list 1", 2, "hensel: error: p must be an odd prime, got 4\n",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # cutoffs below their floors, and at them
@@ -123,6 +123,16 @@ PAYLOADS = [
      "9a120599da5fa0d33b7d2608583286f1a1e19e9d4fa8ee44c6a020b645c5744c"),
     ("lseries --nmax 1 --pmax 2", 1, "",
      "39793d4672152b35b8f4c76d05cb30afba9d1b0c0c02818d89e4ba59b0b00544"),
+    # one past the theta ceiling and the fl radius bounds
+    ("theta --t 1 --truncation 1000001", 2,
+     "hensel: error: --truncation 1000001 exceeds 1000000\n",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (f"fl-verify --p 3 --a 1 --b {3**101}", 2, "hensel: error: val(b) 101 exceeds 100\n",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("orbital --p 3 --a 1 --b 1/27 --window 51", 2, "hensel: error: --window 51 exceeds 50\n",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("sweep --p-list 3 --vb-list 1,101", 2, "hensel: error: --vb-list 101 exceeds 100\n",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
