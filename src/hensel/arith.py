@@ -2,15 +2,17 @@
 
 Characters are real: a table of the integers +-1 on the units, and 0 off
 them.  Frobenius classes for quadratic fields are decided through the
-quadratic-residue criterion, never by floating point; the analytic partial
+quadratic-residue criterion, never by floating point.  The analytic partial
 sum and product at the bottom are the only floating-point code in the
-module.
+module; `lseries_gap_bound` states how far apart a correct pair of them can
+be, so that their comparison is a certificate rather than a chosen tolerance.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .primes import is_prime, legendre_symbol, primes_upto
 
@@ -163,3 +165,43 @@ def euler_product_partial(chi: DirichletCharacter, s: float, p_max: int) -> floa
         if v:
             total /= 1 - v * p**-s
     return total
+
+
+def lseries_gap_bound(s: float, n_max: int, p_max: int, product: float) -> float:
+    """An upper bound on |S_N - P_P| for a correct computation, where S_N is
+    `dirichlet_sum_partial(chi, s, N)` and P_P = `product` is
+    `euler_product_partial(chi, s, P)` for a real character chi, s > 1.
+
+    Both approach L(s, chi) = sum chi(n) n^-s = prod (1 - chi(p) p^-s)^-1,
+    so |S_N - P_P| <= |L - S_N| + |L - P_P| plus the rounding of each side.
+
+    The sum's tail: |L - S_N| <= sum_{n > N} n^-s <= int_N^oo x^-s dx
+    = N^(1-s) / (s - 1).
+
+    The product's tail: L = P_P * T with T = prod_{p > P} (1 - chi(p) p^-s)^-1.
+    For |x| < 1, |log(1 - x)| <= sum_k |x|^k = |x| / (1 - |x|); with
+    |x| = p^-s < P^-s this gives |log T| <= sum_{p > P} p^-s / (1 - P^-s)
+    <= int_P^oo x^-s dx / (1 - P^-s) = P^(1-s) / ((s - 1)(1 - P^-s)) = E.
+    Hence |T - 1| <= e^E - 1 and |L - P_P| <= |P_P| expm1(E).
+
+    Rounding, with eps = sys.float_info.epsilon and pow within an ulp: each
+    term of the sum is off by at most eps relative, and recursive summation
+    of N terms adds at most N eps/2 times their absolute sum, which is at
+    most zeta(s) <= 1 + int_1^oo x^-s dx = s / (s - 1).  Each of the
+    pi(P) <= P factors of the product is off by at most 2 eps relative: the
+    power x = p^-s, whose error reaches 1 - x scaled by x / (1 - x) <= 1
+    since x <= 1/2, then the subtraction and the division.  So P_P is off
+    by at most about 2 P eps |P_P|.  The term 4 eps (N s / (s - 1) + P |P_P|)
+    is twice these; the spare factor covers the final subtraction and the
+    evaluation of this bound, whose terms are each computed within a few eps.
+
+    Returns inf where e^E overflows: the check then carries no information.
+    """
+    eps = sys.float_info.epsilon
+    e = p_max ** (1 - s) / ((s - 1) * (1 - p_max**-s))
+    growth = math.expm1(e) if e < 700 else math.inf
+    return (
+        n_max ** (1 - s) / (s - 1)
+        + abs(product) * growth
+        + 4 * eps * (n_max * (s / (s - 1)) + p_max * abs(product))
+    )

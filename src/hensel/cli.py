@@ -22,7 +22,7 @@ from . import arith, orbital, qseries, traceformula
 from .padics import PrecisionError, valp_fraction
 from .primes import is_prime, primes_upto, smallest_nonresidue
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Largest p * truncation `hecke` accepts: delta is built through q^(p*T),
 # which takes seconds at this ceiling.
@@ -49,8 +49,8 @@ NOT_APPLICABLE = "not-applicable"
 def _jsonable(value):
     """Make values JSON-safe and deterministic (inf -> "inf", exact types
     -> strings, tuples -> lists)."""
-    if value is math.inf:
-        return "inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):
@@ -135,6 +135,25 @@ def _check_cutoff(flag: str, value: int, low: int, high=math.inf):
         raise UsageError(f"{flag} {value} is below {low}")
     if value > high:
         raise UsageError(f"{flag} {value} exceeds {high}")
+
+
+def _check_finite(flag: str, value: float):
+    """A usage error unless value is a finite float (not nan or +-inf)."""
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} {value} is not a finite number")
+
+
+def _bounded_verdict(gap: float, bound: float, size: float) -> str:
+    """The verdict of a float comparison against a proven bound.
+
+    A correct computation never puts `gap` above `bound`, so that fails.  A
+    bound at least `size`, the larger of the two compared values, would
+    still pass with either value replaced by 0: such a check cannot fail
+    and is not applicable.
+    """
+    if not gap <= bound:
+        return FAIL
+    return NOT_APPLICABLE if bound >= size else PASS
 
 
 def _int_list(text: str) -> list:
@@ -273,14 +292,17 @@ def cmd_hecke(args) -> tuple:
 
 
 def cmd_theta(args) -> tuple:
+    _check_finite("--t", args.t)
     if args.t <= 0:
         raise UsageError("t must be positive")
     _check_cutoff("--truncation", args.truncation, 1, THETA_MAX_TRUNCATION)
     residual = qseries.theta_functional_equation_residual(args.t, args.truncation)
-    ok = residual < args.tol
-    results = {"residual": residual, "tolerance": args.tol, "terms": args.truncation}
-    params = {"t": args.t, "truncation": args.truncation, "tol": args.tol}
-    return params, results, PASS if ok else FAIL
+    bound = qseries.theta_residual_bound(args.t, args.truncation)
+    # each side is at least its n = 0 term: 1 on the left, t^(-1/2) on the right
+    size = max(1.0, 1 / math.sqrt(args.t))
+    results = {"residual": residual, "bound": bound, "terms": args.truncation}
+    params = {"t": args.t, "truncation": args.truncation}
+    return params, results, _bounded_verdict(residual, bound, size)
 
 
 def _resolve_character(spec: str) -> arith.DirichletCharacter:
@@ -299,6 +321,7 @@ def _resolve_character(spec: str) -> arith.DirichletCharacter:
 
 def cmd_lseries(args) -> tuple:
     chi = _resolve_character(args.character)
+    _check_finite("--s", args.s)
     if args.s <= 1:
         raise UsageError("s must be greater than 1")
     _check_cutoff("--nmax", args.nmax, 1, LSERIES_MAX_CUTOFF)
@@ -306,21 +329,21 @@ def cmd_lseries(args) -> tuple:
     partial_sum = arith.dirichlet_sum_partial(chi, args.s, args.nmax)
     partial_product = arith.euler_product_partial(chi, args.s, args.pmax)
     gap = abs(partial_sum - partial_product)
-    ok = gap < args.tol
+    bound = arith.lseries_gap_bound(args.s, args.nmax, args.pmax, partial_product)
+    size = max(abs(partial_sum), abs(partial_product))
     results = {
         "partial_sum": partial_sum,
         "partial_product": partial_product,
         "gap": gap,
-        "tolerance": args.tol,
+        "bound": bound,
     }
     params = {
         "character": args.character,
         "s": args.s,
         "nmax": args.nmax,
         "pmax": args.pmax,
-        "tol": args.tol,
     }
-    return params, results, PASS if ok else FAIL
+    return params, results, _bounded_verdict(gap, bound, size)
 
 
 def _default_character_for(d: int) -> str | None:
@@ -464,7 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     th = sub.add_parser("theta", help="theta functional-equation residual")
     th.add_argument("--t", type=float, required=True)
     th.add_argument("--truncation", type=int, default=50)
-    th.add_argument("--tol", type=float, default=1e-10)
     th.set_defaults(func=cmd_theta)
 
     ls = sub.add_parser("lseries", help="partial sum vs partial product")
@@ -472,7 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--s", type=float, default=2.0)
     ls.add_argument("--nmax", type=int, default=100000)
     ls.add_argument("--pmax", type=int, default=10000)
-    ls.add_argument("--tol", type=float, default=1e-4)
     ls.set_defaults(func=cmd_lseries)
 
     fr = sub.add_parser("frobenius", help="splitting behavior vs a character")

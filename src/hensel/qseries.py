@@ -4,13 +4,15 @@ Everything algebraic here is exact (integers or fractions): the cusp-form
 expansion (Jacobi's sparse series for the cube of the product, raised to the
 eighth power in one pass of an exact recurrence), the averaging operator at
 a prime, the eigenvalue check, and the multiplicative coefficient recursion.
-Only the theta check at the end of the module uses floating point, with an
-explicit truncation tail.
+Only the theta check at the end of the module uses floating point, and
+`theta_residual_bound` proves how large its residual can be when the
+computation is correct: truncation tails plus rounding.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .primes import is_prime
@@ -222,11 +224,49 @@ def theta_functional_equation_residual(t: float, m_max: int = 50) -> float:
     """|sum_{|n|<=M} e^{-pi n^2 t} - t^{-1/2} sum_{|n|<=M} e^{-pi n^2 / t}|.
 
     Both sides are the purely imaginary-axis specialization of the theta
-    transformation law, where they are real; the truncation tail is below
-    e^{-pi M^2 min(t, 1/t)}.
+    transformation law theta(t) = t^{-1/2} theta(1/t), where they are real;
+    `theta_residual_bound` bounds what the truncation and rounding leave.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     s1 = 1.0 + 2.0 * sum(math.exp(-math.pi * n * n * t) for n in range(1, m_max + 1))
     s2 = 1.0 + 2.0 * sum(math.exp(-math.pi * n * n / t) for n in range(1, m_max + 1))
     return abs(s1 - s2 / math.sqrt(t))
+
+
+def _theta_tail(x: float, m_max: int) -> float:
+    """R(x) = e^{-pi (M+1)^2 x} / (1 - e^{-2 pi (M+1) x}) >= sum_{n>M} e^{-pi n^2 x}.
+
+    For n = M + 1 + k with k >= 0, n^2 >= (M+1)^2 + 2 (M+1) k, so the tail is
+    at most e^{-pi (M+1)^2 x} sum_k e^{-2 pi (M+1) k x}, a geometric series.
+    """
+    a = math.pi * (m_max + 1)
+    return math.exp(-a * (m_max + 1) * x) / -math.expm1(-2 * a * x)
+
+
+def theta_residual_bound(t: float, m_max: int = 50) -> float:
+    """An upper bound on `theta_functional_equation_residual(t, m_max)` for
+    a correct computation.
+
+    With theta(x) = sum_{n in Z} e^{-pi n^2 x} and the tail R(x) of
+    `_theta_tail`, the truncated sides are s1 = theta(t) - 2 tail(t) and
+    s2 = theta(1/t) - 2 tail(1/t).  The law theta(t) = t^{-1/2} theta(1/t)
+    leaves s1 - s2 t^{-1/2} = 2 tail(1/t) t^{-1/2} - 2 tail(t), at most
+    2 R(t) + 2 R(1/t) t^{-1/2} in absolute value.
+
+    Rounding, with eps = sys.float_info.epsilon and exp within an ulp: each
+    side adds M + 1 terms and scales once, so summation is off by at most
+    (M + 2) eps/2 times the side.  An exponential is off by an ulp plus a
+    few eps (the rounding of its argument a = pi n^2 x) times a; since
+    a e^{-a} summed over n is at most 1/(4 sqrt(x)) + 1/e, that adds a few
+    eps times theta(x) over a side.  Both sides are at most theta(t), and
+    theta(t) <= 1 + 2 int_0^oo e^{-pi u^2 t} du = 1 + t^{-1/2}.  So the term
+    4 (M + 2) eps * 2 (1 + t^{-1/2}) covers all of it, the final
+    subtraction and the evaluation of this bound included, with room to
+    spare.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    root = math.sqrt(t)
+    tails = 2 * _theta_tail(t, m_max) + 2 * _theta_tail(1 / t, m_max) / root
+    return tails + 4 * (m_max + 2) * sys.float_info.epsilon * 2 * (1 + 1 / root)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hensel.arith import (
     DirichletCharacter,
@@ -8,6 +10,7 @@ from hensel.arith import (
     dirichlet_sum_partial,
     euler_product_partial,
     frobenius_quadratic,
+    lseries_gap_bound,
     reciprocity_check,
 )
 from hensel.primes import legendre_symbol, primes_upto
@@ -152,3 +155,32 @@ def test_mod_four_sum_vs_product():
     s = dirichlet_sum_partial(chi, 2.0, 10**6)
     p = euler_product_partial(chi, 2.0, 10**5)
     assert abs(s - p) < 1e-6
+
+
+REAL_CHARACTERS = [
+    DirichletCharacter.trivial(),
+    DirichletCharacter.mod_four(),
+    DirichletCharacter.mod_eight(),
+    DirichletCharacter.legendre(5),
+    DirichletCharacter.legendre(7),
+    DirichletCharacter.legendre(13),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    chi=st.sampled_from(REAL_CHARACTERS),
+    s=st.floats(1.05, 4.0),
+    n_max=st.integers(1, 5000),
+    p_max=st.integers(2, 5000),
+)
+def test_lseries_gap_within_bound(chi, s, n_max, p_max):
+    # soundness: a correct sum and product never stand further apart
+    partial_sum = dirichlet_sum_partial(chi, s, n_max)
+    product = euler_product_partial(chi, s, p_max)
+    assert abs(partial_sum - product) <= lseries_gap_bound(s, n_max, p_max, product)
+
+
+def test_lseries_gap_bound_overflows_to_inf():
+    # near s = 1 the product's tail bound e^E - 1 overflows a float
+    assert lseries_gap_bound(1 + 1e-12, 10**5, 10**4, 1.5) == math.inf

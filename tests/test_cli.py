@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from hensel import cli, orbital, traceformula
+from hensel import arith, cli, orbital, qseries, traceformula
 from hensel.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -35,7 +36,7 @@ def test_fl_verify_pass(capsys):
     assert payload["results"]["closed_form"] == -3
     assert payload["results"]["saturated"] is True
     assert payload["params"]["delta"] == "2"  # auto-resolved non-residue
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert "scan_method" not in payload["results"]
     assert payload["subcommand"] == "fl-verify"
 
@@ -175,8 +176,10 @@ def test_hecke_input_truncation_ceiling_exit_2(capsys, monkeypatch):
 
 def test_theta_subcommand(capsys):
     code, payload = run_json(capsys, "theta", "--t", "1")
-    assert code == 0
-    assert payload["results"]["residual"] < 1e-12
+    assert (code, payload["verdict"]) == (0, "pass")
+    results = payload["results"]
+    assert results["residual"] <= results["bound"] < 1e-12
+    assert "tolerance" not in results and "tol" not in payload["params"]
 
 
 def test_lseries_subcommand(capsys):
@@ -184,8 +187,83 @@ def test_lseries_subcommand(capsys):
         capsys, "lseries", "--character", "mod4", "--s", "2",
         "--nmax", "100000", "--pmax", "10000",
     )
-    assert code == 0
-    assert abs(payload["results"]["partial_sum"] - 0.9159655941) < 1e-6
+    assert (code, payload["verdict"]) == (0, "pass")
+    results = payload["results"]
+    assert abs(results["partial_sum"] - 0.9159655941) < 1e-6
+    assert results["gap"] <= results["bound"] < 2e-4
+    assert "tolerance" not in results and "tol" not in payload["params"]
+
+
+@pytest.mark.parametrize("subcommand", ["theta --t 1", "lseries"])
+def test_tol_option_is_gone(capsys, subcommand):
+    # the verdicts come from a proven bound, not a tolerance the user picks
+    with pytest.raises(SystemExit) as exc:
+        main([*subcommand.split(), "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("theta", "--t", "nan"), "--t nan"),
+        (("theta", "--t", "inf"), "--t inf"),
+        (("lseries", "--s", "nan"), "--s nan"),
+        (("lseries", "--s", "inf"), "--s inf"),
+    ],
+)
+def test_non_finite_float_exit_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"hensel: error: {flag} is not a finite number\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("lseries", "--nmax", "1", "--pmax", "2"), ("lseries", "--s", "1.1"),
+     ("theta", "--t", "1e-6")],
+)
+def test_bound_as_large_as_values_not_applicable(capsys, argv):
+    # a bound that would pass either value replaced by 0 checks nothing
+    code, payload = run_json(capsys, *argv)
+    assert (code, payload["verdict"]) == (0, "not-applicable")
+
+
+def _sum_without(n_drop):
+    real = arith.dirichlet_sum_partial
+    return lambda chi, s, n_max: real(chi, s, n_max) - chi(n_drop) * n_drop**-s
+
+
+def _product_without(p_drop):
+    real = arith.euler_product_partial
+    return lambda chi, s, p_max: real(chi, s, p_max) * (1 - chi(p_drop) * p_drop**-s)
+
+
+def _theta_without_left_n1(t, m_max=50):
+    s1 = 1.0 + 2.0 * sum(math.exp(-math.pi * n * n * t) for n in range(2, m_max + 1))
+    s2 = 1.0 + 2.0 * sum(math.exp(-math.pi * n * n / t) for n in range(1, m_max + 1))
+    return abs(s1 - s2 / math.sqrt(t))
+
+
+@pytest.mark.parametrize(
+    "command, module, name, mutant",
+    [
+        # chi_4(2) = 0, so dropping n = 2 is no mutant for mod4
+        ("lseries --character mod4 --s 2", arith, "dirichlet_sum_partial", _sum_without(3)),
+        ("lseries --character mod4 --s 2", arith, "euler_product_partial", _product_without(3)),
+        ("lseries --s 2", arith, "dirichlet_sum_partial", _sum_without(2)),
+        ("lseries --s 2", arith, "euler_product_partial", _product_without(2)),
+        ("theta --t 2.0", qseries, "theta_functional_equation_residual",
+         _theta_without_left_n1),
+    ],
+    ids=["mod4-drop-n3", "mod4-drop-p3", "trivial-drop-n2", "trivial-drop-p2",
+         "theta-drop-left-n1"],
+)
+def test_bound_catches_dropped_terms(capsys, monkeypatch, command, module, name, mutant):
+    # power: the bound is tight enough that one missing term fails the check
+    monkeypatch.setattr(module, name, mutant)
+    code, payload = run_json(capsys, *command.split())
+    assert (code, payload["verdict"]) == (1, "fail")
 
 
 LSERIES_NMAX = ("lseries", "--nmax")

@@ -18,60 +18,60 @@ from hensel.cli import main
 PAYLOADS = [
     # the README CLI block
     ("fl-verify --p 3 --a 1 --b 3", 0, "",
-     "8add22b6863b50ab387409cef7c426f30eb308b2e6db7b1a29f78f63f2aca04f"),
+     "2ae0f3916c23513565c057ac1935e6f4260baafc2ad7a1f7a8cbebdf823a1567"),
     ("fl-verify --p 3 --a 1/3 --b 3", 0, "",
-     "a98bf88a99f436c7dbec31778e22fe79a593133e6b604427c7a6ddc69907e255"),
+     "8270db9e3c07466aae6f50927241e9f5655f766cfa591e19158eff8e89f65d03"),
     ("sweep --p-list 3,5,7 --vb-list 1,2,3 --kappa 1", 0, "",
-     "4be114d7d915c1523952c71d3e0b6e911bd030f634edb9590c9f31440c1f3365"),
+     "0aee623b367557ea9bb91ec95278478ddd95c1bfe9eeda948e43eb445f5d864b"),
     ("orbital --p 3 --a 1 --b 9 --kappa 0", 0, "",
-     "2f383d44367e4c7557bbda07ba5a8a1446b4e485a992b00fbf96cdecda58497f"),
+     "ab03ef4a5f61c2fc2aa856898875b558afbb2b824a25e0dd5c3f54825f8a4d57"),
     ("hecke --p 2 --truncation 64", 0, "",
-     "806e6d4bd167e582e203f159d517127013916d27f8a1420244cb41085cf24c04"),
+     "0705d2aa4805020580ad547ee166cca42120231c8a0bcb31dd289cf5416ff9d5"),
     ("theta --t 2.0", 0, "",
-     "b810bc2a5782f21358020ecd4fc7052c4acbfdee1689bac309d72aa561e783b8"),
+     "2c31833a703bb95dd4097c30f29d03bd861100b3d2f428e6fd37d41999326fc3"),
     ("lseries --character mod4 --s 2", 0, "",
-     "ec2334ad3c0413b01b3cca81bebe8249da609c36797f620647115c9183ece771"),
+     "746e7e2dabc383be0943335a5a8bf2c013ff36642c04ed8a51560aca5a42f3f2"),
     ("frobenius --d -1 --pmax 1000", 0, "",
-     "880e40aa2cec3d021167f18894df33e0df1326ac7116aa2b93904f98cd47c0c9"),
+     "c48348ccad1d0f31829792e4d414ae91308dded2345e3c1cdf69b0748926632c"),
     ("trace --group S4", 0, "",
-     "bcfe23e20e5508bfc9ec523c3103cb6585179f108d8c2c47f02972550f61aec7"),
+     "3941a5d5c0fd977e4c089d941308e6d9293015cdd3771347a49442a60c359af8"),
     ("trace", 0, "",
-     "8acb65ee05392e603bf8dded15a31a8e510e3ebcdcc705e86c0790fccfca7278"),
+     "12b0b0152523e64b3a2e78e820b0606468ff547925b9fbdd5a6b5a20ee56ce52"),
     # options, regimes, formats and usage errors
     ("fl-verify --p 3 --a 1 --b 3 --no-saturate", 0, "",
-     "0c4a78bb15da111690e9f8dc4ea060cdb9ac84e9727fa486630f5d4335ac2c10"),
+     "dc33f4a975088f7b585d41d853e41ec0fce330234ff58aa97c79f9c5ed6e1aa1"),
     ("fl-verify --p 3 --a 1 --b 3 --window 0", 1, "",
-     "c86749db64bc5f50cb2a2d8ae215da99028f4bf43259e61b5729b168d8609682"),
+     "31e8d9c4d4e3d8bbf2962a01209c9ac8b89c9a1df5530e2990abd3c45905c895"),
     ("fl-verify --p 3 --a 1 --b 9 --window 1", 0, "",
-     "235c86b62f7cf490311077484a753a3e050129a4dd0709b95afc113acfab47bf"),
+     "606c8dde09f71078bd233843dc062ae0dc3ff1b94173327469ea9729975083c8"),
     ("fl-verify --p 3 --a 0 --b 3", 0, "",
-     "fa23fe2711fd154f128dc359311fd6f8feefbfaa58fdf42914eac63b5033703b"),
+     "420107b07bb68778229ce11d00d734baf547fd29bde9727243fc69ce6548e48f"),
     ("fl-verify --p 3 --a 1 --b 1", 0, "",
-     "894a7fba5f22cc467c7f47051292b3f7793bc5ebcb29380bd8f4475fac7dbd3a"),
+     "05f1c19b1a0a123b9d2e7b3be9170c8a6108bf3c7121df4433c83d6152f15f86"),
     ("fl-verify --p 4 --a 1 --b 3", 2, "hensel: error: p must be an odd prime, got 4\n",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fl-verify --p 5 --a 1 --b 25 --delta 3", 0, "",
-     "a563f86042f9031a1651a71909708b1e623b77f36faeb89cf53c909e69be8084"),
+     "c3176aab735872f8b2510fe336d33d12b2f2d37ae9664d8cb49afc5a54271c3c"),
     ("orbital --p 3 --a 1 --b 3 --kappa 1", 0, "",
-     "bca154b07b56a0e673f870432cffb69ef3d81ec9aacce83a38876058a90d6cef"),
+     "ff00a8afe03287366fb91e1eaec5dc91dee12f619a84af61e7d8875aeadae4e5"),
     ("orbital --p 3 --a 1 --b 3 --window 0", 1, "",
-     "f0c00255831ed7b39bc302e9103e5d95a3dbb34dd4cb3851445ae81d1ecfc1de"),
+     "ea2ced9e746a2a99e83af903ceb1b083b62e9932dc5647c26e9e23aaea596f0f"),
     ("sweep --p-list 3 --vb-list 0,1", 0, "",
-     "5514239dfd4c3948f1490c50340e011cc871f78a381dac1f9eb06888a07021a1"),
+     "5802e1ec9aa037c79ed92e76c5efcd36023b61abad15ffb3cc3423554cf12505"),
     ("--format csv sweep --p-list 3,5 --vb-list 1,2", 0, "",
      "0335e70f130c25bd5778435b7e2de75c1e5863e5135c8371df466ee8b16f3b94"),
     ("--format csv fl-verify --p 3 --a 1 --b 3", 0, "",
-     "5dddd3346c95206160bb492f2837edab649d2102a30366bc8b4537fdbb74b8c1"),
+     "23a771f29013eea02c340914c1b80255252f66b290ab4194a227720b86dd2ae9"),
     ("--format table fl-verify --p 3 --a 1 --b 3", 0, "",
      "276ed4e7a0592f9aa7748b9650161cd6b5f1a416e4f7129ffb284f8b8b639361"),
     ("--format table sweep --p-list 3 --vb-list 1,2", 0, "",
      "7d566501802bbcb1bc5536c755f6e67f73958e82e348da00c3fdb5f876335847"),
     ('trace --group "(1 2);(1 2 3 4)" --degree 4 --subgroup "(1 2);(1 2 3)"', 0, "",
-     "26e396de4b4567c6ed655a8af37768d7a5beaca819b8d4c82a7be5ac3e40523d"),
+     "3c2418579f9ee77bb5435ddd7e88dbd98c9ae4686455b1c93111615d6bd34abb"),
     ("trace --group A5", 0, "",
-     "b782388cb26a06cf592c02319299035780f429b8b7d0051d88cf12324b127bb4"),
+     "0868a39eecc8d6ba7cf53b57e5a48719e92a3e662cf94425dc150f9ddef5eb45"),
     ("trace --group D14", 0, "",
-     "cc6c3db2d261df029ce5d28890a978d6bfe1981b72fa72233e3e43a8f047d0f8"),
+     "4c433bdc1f5f4c2beddb675df5536e7b68c9de4367c362e900541139bd7ad0bc"),
     ("trace --group S0", 2, "hensel: error: group degree must be at least 1, got 0\n",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--format csv trace --group S4", 0, "",
@@ -79,33 +79,33 @@ PAYLOADS = [
     ("--format table fl-verify --p 5 --a 1 --b 25", 0, "",
      "436cdc83ed10046388cc3c45fcdffad962a56228ab9c168bf11964ebc471d83f"),
     ('trace --group S5 --subgroup "(1 2 3)"', 0, "",
-     "e7b79b241835a90d2aed1c38527c0218779c6e3a277b3e505375765ea59c45a9"),
+     "4bc09602f52610e81c2fa03840e80659de24c276f4b4703c5cfd2769a21ef3c1"),
     ("trace --group C12", 0, "",
-     "a33c19d4655440ffd366128175e66601d4daf006dfbd8991ec251324b1651a61"),
+     "d7244a68012fda7d967fb8da032874ddefa6c6f1116eb9a0ff0b30ab86a86d6c"),
     ("frobenius --d 5 --pmax 10", 0, "",
-     "ead035f8fcfd6b400b5b233d02580b27fa493e7ff54a36dd84d029d2f1a294f1"),
+     "5ef28f7b46f39134da4f3b545cf5a013d45ee2f861a2822cd50731a46ac32ce4"),
     ("lseries --character trivial --s 3 --nmax 120000 --pmax 12000", 0, "",
-     "916339d9f49a2093fd5f2a3ec9737ac0940f8fd38da25b75460a271a01e80714"),
+     "0c1e3140755acc8472eec6d132d77e9c5350d35d4316170425f044e5b9394579"),
     ("frobenius --d 2 --pmax 3000", 0, "",
-     "d2b687eb7562562106deb53a3d49ec69efc0ac5492d228ac9ec7252340c7e889"),
+     "2a34016ed2dbc267c3c34e28ed702aa3c38557dfe1e35b92564596428d89802f"),
     ("hecke --p 3 --truncation 100", 0, "",
-     "93bb511e87598747105fb508899600b25a9e552e62c7d649e5e775a0b0ff2351"),
+     "6b97733baa1acf56ea3b312dfb028f0911e0920d39d416d582127f8e88560e9f"),
     ("sweep --p-list 3,5 --vb-list 1,2 --kappa 0", 0, "",
-     "6c156dce1c92bd9374943ef745551ab35eddc045871497b12c20a26981bb6045"),
+     "6a4d71e57456fd2d9a335711c8cefa33fb779d5802f09f8d0dbcb31fa634bd7f"),
     # groups of degree 1 and 2
     ("trace --group C1", 0, "",
-     "f939ce7a1294172ed067aeb4fa7a3884c7d755f53a8e3b62d80a3dbb1e47972f"),
+     "5a821a16454b78ccb4eb70370a543aa0b250ac39e4dee246a5d5ddd01f9d6d32"),
     ("trace --group A1", 0, "",
-     "b1439540d256cc79f0264a64ef798b19c33c8ec8e3f122f5929aa1d168be1fab"),
+     "18c433737cb002c47b893c93dce0f53153c42196eec36fee7ba5077e509acda1"),
     ("trace --group A2", 0, "",
-     "323fa4e2ebd473e3ca626d878cb69264cd112a047b63bce90f550afbfac7ba74"),
+     "4e688de26ce11c7cab610f93e53d9b072a151a76cdda777214812ae39db81ead"),
     ("trace --group S1", 0, "",
-     "550fd70de41a379d723ccc6956f41d8df00034c13153022bf78b2ccf737e3d70"),
+     "5fbaf18076ac098f739dc66613355c86f00f02e4d6492a8b177181540f2cd37c"),
     ("trace --group S2", 0, "",
-     "91b3af59f4a4e97afb06664cf8784b08beb4d00a0f1de00ae9234202a004cb85"),
+     "23c3e4a5591de51de64437677d1904e8ac5d92ccbed8cbd3bc7ebca653797c7f"),
     # sweep defaults and a bad prime
     ("sweep", 0, "",
-     "d515f91a33e94051d15338e4639874544bb9605762040b94801a3b80f6091f0e"),
+     "390d713a1dde92e3b30b6b974afd4eb2b29e4fd4e106e4f64daa0c73a611ff5c"),
     ("sweep --p-list 4 --vb-list 1", 2, "hensel: error: p must be an odd prime, got 4\n",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # cutoffs below their floors, and at them
@@ -118,11 +118,20 @@ PAYLOADS = [
     ("lseries --pmax -5", 2, "hensel: error: --pmax -5 is below 2\n",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("theta --t 1 --truncation 1", 0, "",
-     "3368f0b957bd0f98c4e93fe67858bfab9ad4d81cd85e14a86d590b4a62bb20fe"),
+     "aee33038395045bc8317ea44772fcf2e8ce4ab8b8b484c65d6293ba32aa79389"),
     ("frobenius --d -1 --pmax 2", 0, "",
-     "9a120599da5fa0d33b7d2608583286f1a1e19e9d4fa8ee44c6a020b645c5744c"),
-    ("lseries --nmax 1 --pmax 2", 1, "",
-     "39793d4672152b35b8f4c76d05cb30afba9d1b0c0c02818d89e4ba59b0b00544"),
+     "9fcbfc8ed9a9647682a317106e77c062c1b4570ba4bb5c1bcc5106829797bdf3"),
+    ("lseries --nmax 1 --pmax 2", 0, "",
+     "cb55b0dc51912e7bca8e67e2d50ce8870125ba921c12f272b67b303ae7144a2a"),
+    # non-finite floats, and bounds as large as the values they compare
+    ("theta --t nan", 2, "hensel: error: --t nan is not a finite number\n",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("lseries --s inf", 2, "hensel: error: --s inf is not a finite number\n",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("theta --t 1e-6", 0, "",
+     "0501c519e50adb2f4cf1468a80663da5fb1a126f28aa9adee33a6254f2565a1d"),
+    ("lseries --s 1.1", 0, "",
+     "54994550df7ea430d0b2753501e5d7cd0dc6dac143fa33b5798b86cc9f07a2d6"),
     # one past the theta ceiling and the fl radius bounds
     ("theta --t 1 --truncation 1000001", 2,
      "hensel: error: --truncation 1000001 exceeds 1000000\n",

@@ -13,6 +13,7 @@ from hensel.qseries import (
     hecke_coset_reduce,
     hecke_coset_reps,
     theta_functional_equation_residual,
+    theta_residual_bound,
 )
 
 
@@ -307,3 +308,11 @@ def test_theta_symmetry_under_inversion():
 def test_theta_rejects_nonpositive():
     with pytest.raises(ValueError):
         theta_functional_equation_residual(0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=st.floats(0.05, 20.0), m_max=st.integers(1, 60))
+def test_theta_residual_within_bound(t, m_max):
+    # soundness: the truncation tails and rounding never exceed the bound
+    assert theta_functional_equation_residual(t, m_max) <= theta_residual_bound(t, m_max)
+
