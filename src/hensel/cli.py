@@ -1,8 +1,6 @@
 """Command-line front end: every verification as a reproducible report.
 
-Reports are emitted as JSON on stdout (machine-readable, stable key order);
-when stderr is a terminal a short human-readable table is printed there as
-well.  ``--format csv`` and ``--format table`` replace the stdout payload.
+Every subcommand prints one JSON report on stdout, with a stable key order.
 
 Exit status: 0 when every verdict passes (or is not applicable), 1 on a
 mathematical verdict failure, 2 on usage or precision errors.
@@ -37,8 +35,8 @@ FROBENIUS_MAX_PMAX = 1_000_000
 # n = 16 every term underflows to 0 at t = 1.
 THETA_MAX_TRUNCATION = 1_000_000
 
-# Largest val(b) that `fl-verify`, `orbital` and `sweep` accept, and twice
-# the largest `--window`: the count at val(b) = 100 takes about a second.
+# Largest val(b) that `fl-verify` and `sweep` accept, and twice the largest
+# `--window`: the count at val(b) = 100 takes about a second.
 FL_MAX_VAL_B = 100
 
 PASS = "pass"
@@ -58,62 +56,6 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
-
-
-def _emit(payload: dict, fmt: str):
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        if sys.stderr.isatty():
-            print(_to_table(payload), file=sys.stderr)
-    elif fmt == "csv":
-        print(_to_csv(payload), end="")
-    else:
-        print(_to_table(payload))
-
-
-def _flat(prefix: str, value, rows: list):
-    if isinstance(value, dict):
-        for k in sorted(value):
-            _flat(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
-    elif isinstance(value, list) and not any(
-        isinstance(v, (dict, list)) for v in value
-    ):
-        rows.append((prefix, ";".join(str(v) for v in value)))
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _flat(f"{prefix}[{i}]", v, rows)
-    else:
-        rows.append((prefix, value))
-
-
-def _to_csv(payload: dict) -> str:
-    results = payload.get("results", {})
-    lines = []
-    if isinstance(results.get("rows"), list) and results["rows"]:
-        cols = sorted({col for row in results["rows"] for col in row})
-        lines.append(",".join(cols))
-        for row in results["rows"]:
-            lines.append(",".join(str(row.get(c, "")) for c in cols))
-    else:
-        lines.append("key,value")
-        rows = []
-        _flat("", payload, rows)
-        for k, v in rows:
-            lines.append(f"{k},{v}")
-    return "\n".join(lines) + "\n"
-
-
-def _to_table(payload: dict) -> str:
-    head = (
-        f"{payload['subcommand']}  "
-        f"[verdict: {payload['verdict']}]  "
-        f"({payload['elapsed_seconds']:.3f}s)"
-    )
-    rows = []
-    _flat("", {"params": payload["params"], "results": payload["results"]}, rows)
-    width = max((len(k) for k, _ in rows), default=0)
-    body = "\n".join(f"  {k.ljust(width)}  {v}" for k, v in rows)
-    return head + "\n" + body
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -173,9 +115,7 @@ def _status(verdict) -> str:
     return PASS if verdict else FAIL
 
 
-def _verify(args):
-    """Run the transfer-identity check for one element: the report, and the
-    params and results that `fl-verify` and `orbital` both print."""
+def cmd_fl_verify(args) -> tuple:
     if args.p == 2 or not is_prime(args.p):
         raise UsageError(f"p must be an odd prime, got {args.p}")
     if args.b:  # b = 0 is refused by verify_fundamental_lemma
@@ -201,6 +141,7 @@ def _verify(args):
         "delta": str(delta),
         "kappa": args.kappa,
         "window": args.window,
+        "saturate": not args.no_saturate,
     }
     results = {
         "regime": report.regime,
@@ -209,26 +150,12 @@ def _verify(args):
         "untwisted_total": report.untwisted,
         "twisted_total": report.twisted,
         "saturated": report.saturated,
+        "closed_form": report.closed_form,
+        "expected": report.expected,
+        "val_a": report.val_a,
+        "val_b": report.val_b,
     }
-    return report, params, results
-
-
-def cmd_fl_verify(args) -> tuple:
-    report, params, results = _verify(args)
-    params["saturate"] = not args.no_saturate
-    results.update(
-        closed_form=report.closed_form,
-        expected=report.expected,
-        val_a=report.val_a,
-        val_b=report.val_b,
-    )
     return params, results, _status(report.verdict)
-
-
-def cmd_orbital(args) -> tuple:
-    # raw counts: only a failed saturation certificate fails the run
-    report, params, results = _verify(args)
-    return params, results, PASS if report.saturated is not False else FAIL
 
 
 def _sweep_cell(p, vb, kappa):
@@ -274,6 +201,8 @@ def cmd_sweep(args) -> tuple:
 def cmd_hecke(args) -> tuple:
     if not is_prime(args.p):
         raise UsageError(f"p must be prime, got {args.p}")
+    # at depth 1 the check reads a_p = a_p * a_1 and cannot fail
+    _check_cutoff("--truncation", args.truncation, 2)
     if args.p * args.truncation > HECKE_MAX_INPUT_TRUNCATION:
         raise UsageError(
             f"p * truncation = {args.p * args.truncation} exceeds "
@@ -452,32 +381,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification suite: lattice counts, q-expansions, "
         "L-factors, reciprocity, and the finite-group trace identity.",
     )
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv", "table"),
-        default="json",
-        help="stdout payload format (default json)",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     fl = sub.add_parser("fl-verify", help="twisted count against the transfer constant")
+    fl.add_argument("--p", type=int, required=True)
+    fl.add_argument("--a", type=_parse_fraction, required=True)
+    fl.add_argument("--b", type=_parse_fraction, required=True)
+    fl.add_argument("--delta", default="auto", help="non-square unit (default auto)")
+    fl.add_argument("--kappa", type=int, choices=(0, 1), default=1)
+    fl.add_argument("--window", default="auto", help="window radius (default auto)")
+    fl.add_argument("--no-saturate", action="store_true")
+    fl.set_defaults(func=cmd_fl_verify)
 
     sw = sub.add_parser("sweep", help="closed form vs brute force over a grid")
     sw.add_argument("--p-list", type=_int_list, default=[])
     sw.add_argument("--vb-list", type=_int_list, default=[])
     sw.add_argument("--kappa", type=int, choices=(0, 1), default=1)
     sw.set_defaults(func=cmd_sweep)
-
-    orb = sub.add_parser("orbital", help="stable-class counts for one element")
-    for sp, func, kappa in ((fl, cmd_fl_verify, 1), (orb, cmd_orbital, 0)):
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--a", type=_parse_fraction, required=True)
-        sp.add_argument("--b", type=_parse_fraction, required=True)
-        sp.add_argument("--delta", default="auto", help="non-square unit (default auto)")
-        sp.add_argument("--kappa", type=int, choices=(0, 1), default=kappa)
-        sp.add_argument("--window", default="auto", help="window radius (default auto)")
-        sp.add_argument("--no-saturate", action="store_true")
-        sp.set_defaults(func=func)
 
     hk = sub.add_parser("hecke", help="eigenform check for the weight-12 cusp form")
     hk.add_argument("--p", type=int, required=True)
@@ -532,7 +452,7 @@ def main(argv=None) -> int:
         "verdict": verdict,
         "elapsed_seconds": round(time.perf_counter() - start, 6),
     }
-    _emit(_jsonable(payload), args.format)
+    print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
     return 1 if verdict == FAIL else 0
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -139,7 +140,8 @@ def test_fl_verify_and_sweep_share_one_verdict(capsys, monkeypatch):
 
 
 def test_readme_cli_commands_pass(capsys):
-    # every command of the README's CLI block runs and passes
+    # every command of the README's CLI block runs and passes, and the block
+    # shows each subcommand and no other
     block = re.search(r"^## CLI\n+```sh\n(.*?)^```", README.read_text(), re.M | re.S)
     commands = [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
     assert len(commands) >= 10
@@ -147,15 +149,9 @@ def test_readme_cli_commands_pass(capsys):
         assert argv[0] == "hensel"
         code, payload = run_json(capsys, *argv[1:])
         assert (code, payload["verdict"]) == (0, "pass"), argv
-
-
-def test_orbital_subcommand(capsys):
-    code, payload = run_json(
-        capsys, "orbital", "--p", "3", "--a", "1/3", "--b", "3"
-    )
-    assert code == 0
-    assert payload["results"]["untwisted_total"] == 0
-    assert payload["results"]["regime"] == "vanishing"
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[1] for argv in commands} == set(subparsers.choices)
 
 
 def test_hecke_subcommand(capsys):
@@ -245,6 +241,42 @@ def _theta_without_left_n1(t, m_max=50):
     return abs(s1 - s2 / math.sqrt(t))
 
 
+def _one_more_class(real, where=lambda gamma, m: True):
+    # one extra stable class in grading class 1, at the windows `where` picks
+    def mutant(gamma, m):
+        counts = dict(real(gamma, m))
+        counts[1] += where(gamma, m)
+        return counts
+    return mutant
+
+
+def _delta_top_coefficient_plus_one():
+    real = qseries.delta
+
+    def mutant(truncation):
+        f = real(truncation)
+        *low, top = f.coefficients
+        return qseries.QExpansion(f.weight, (*low, top + 1))
+    return mutant
+
+
+def _frobenius_flipped_at(p_flip):
+    real = arith.frobenius_quadratic
+    flip = {arith.FrobeniusClass.SPLIT: arith.FrobeniusClass.INERT,
+            arith.FrobeniusClass.INERT: arith.FrobeniusClass.SPLIT}
+    return lambda d, p: flip[real(d, p)] if p == p_flip else real(d, p)
+
+
+def _class_weight_plus_one(class_size):
+    real = traceformula._class_weight
+    return lambda g, size, h, h_size: real(g, size, h, h_size) + (size == class_size)
+
+
+def _last_coset_replaced_by_first():
+    real = traceformula.FiniteGroupTable.coset_reps
+    return lambda group, subgroup: (reps := real(group, subgroup))[:-1] + reps[:1]
+
+
 @pytest.mark.parametrize(
     "command, module, name, mutant",
     [
@@ -255,14 +287,41 @@ def _theta_without_left_n1(t, m_max=50):
         ("lseries --s 2", arith, "euler_product_partial", _product_without(2)),
         ("theta --t 2.0", qseries, "theta_functional_equation_residual",
          _theta_without_left_n1),
+        ("fl-verify --p 3 --a 1 --b 3", orbital, "_inclusion_counts",
+         _one_more_class(orbital._inclusion_counts)),
+        ("fl-verify --p 3 --a 1 --b 9 --kappa 0", orbital, "_inclusion_counts",
+         _one_more_class(orbital._inclusion_counts)),
+        # in the vanishing regime count_stable returns 0 by the index argument
+        # without calling _inclusion_counts, so the mutant replaces it
+        ("fl-verify --p 3 --a 1/3 --b 3", orbital, "count_stable",
+         _one_more_class(orbital.count_stable)),
+        # the default window at val(b) = 1 is 1: only the recount at 2 is wrong
+        ("fl-verify --p 3 --a 1 --b 3", orbital, "count_stable",
+         _one_more_class(orbital.count_stable, lambda gamma, m: m == 2)),
+        ("sweep --p-list 3,5,7 --vb-list 1,2,3 --kappa 1", orbital, "_inclusion_counts",
+         _one_more_class(orbital._inclusion_counts, lambda gamma, m: gamma.p == 7)),
+        # at depth 2 the check reads a_1, a_2 and a_4 of delta(4)
+        ("hecke --p 2 --truncation 2", qseries, "delta", _delta_top_coefficient_plus_one()),
+        ("frobenius --d -1 --pmax 1000", arith, "frobenius_quadratic",
+         _frobenius_flipped_at(7)),
+        # the transpositions of S3 form its one class of size 3
+        ("trace --group S3", traceformula, "_class_weight", _class_weight_plus_one(3)),
+        # one coset counted twice and one not at all
+        ("trace --group S3", traceformula.FiniteGroupTable, "coset_reps",
+         _last_coset_replaced_by_first()),
     ],
     ids=["mod4-drop-n3", "mod4-drop-p3", "trivial-drop-n2", "trivial-drop-p2",
-         "theta-drop-left-n1"],
+         "theta-drop-left-n1", "fl-unit-extra-class", "fl-kappa0-extra-class",
+         "fl-vanishing-extra-class", "fl-recount-extra-class", "sweep-p7-extra-class",
+         "hecke-depth2-delta-a4", "frobenius-flip-p7", "trace-s3-weight",
+         "trace-s3-coset-twice"],
 )
 def test_bound_catches_dropped_terms(capsys, monkeypatch, command, module, name, mutant):
-    # power: the bound is tight enough that one missing term fails the check
+    # power: each check passes, and one wrong term, class, coefficient or
+    # weight in its computation turns the pass into a failed verdict
+    assert run_json(capsys, *shlex.split(command))[1]["verdict"] == "pass"
     monkeypatch.setattr(module, name, mutant)
-    code, payload = run_json(capsys, *command.split())
+    code, payload = run_json(capsys, *shlex.split(command))
     assert (code, payload["verdict"]) == (1, "fail")
 
 
@@ -314,10 +373,11 @@ def test_cutoff_ceilings_exit_2(capsys, monkeypatch, argv, limit, step, over):
     [
         # {v} is the value of the bounded quantity, {b} the b of that valuation
         ("fl-verify --p 3 --a 1 --b {b}", cli.FL_MAX_VAL_B),
-        ("orbital --p 3 --a 1 --b {b}", cli.FL_MAX_VAL_B),
+        # the untwisted orbital counts, which `fl-verify --kappa 0` prints
+        ("fl-verify --p 3 --a 1 --b {b} --kappa 0", cli.FL_MAX_VAL_B),
         ("sweep --p-list 3 --vb-list 1,{v}", cli.FL_MAX_VAL_B),
         ("fl-verify --p 3 --a 1 --b 3 --window {v}", cli.FL_MAX_VAL_B // 2),
-        ("orbital --p 3 --a 1 --b 3 --window {v}", cli.FL_MAX_VAL_B // 2),
+        ("fl-verify --p 3 --a 1 --b 3 --kappa 0 --window {v}", cli.FL_MAX_VAL_B // 2),
     ],
     ids=["fl-verify-val-b", "orbital-val-b", "sweep-vb-list", "fl-verify-window",
          "orbital-window"],
@@ -421,31 +481,16 @@ def test_trace_generators_and_subgroup(capsys):
 
 
 def test_csv_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "--format", "csv", "sweep", "--p-list", "3", "--vb-list", "1"
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("brute_force,")
-    assert len(lines) == 2
-    # the header covers every row, not just the first (a val b = 0 cell
-    # carries only four of the columns)
-    code, out, _ = run_cli(
-        capsys, "--format", "csv", "sweep", "--p-list", "3", "--vb-list", "0,1",
-        "--kappa", "1",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == (
-        "brute_force,closed_form,delta,kappa,p,saturated,status,untwisted,val_b"
-    )
-    assert lines[1:] == [",,,1,3,,not-applicable,,0", "-3,-3,2,1,3,True,pass,5,1"]
-
-
-def test_table_format(capsys):
-    code, out, _ = run_cli(capsys, "--format", "table", "theta", "--t", "2")
-    assert code == 0
-    assert "verdict: pass" in out
+    # the CSV printer is gone: `--format` is a usage error that prints nothing
+    # on stdout, and the same command without it prints one JSON payload
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "csv", "sweep", "--p-list", "3", "--vb-list", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("hensel: error: argument subcommand: invalid choice")
+    code, payload = run_json(capsys, "sweep", "--p-list", "3", "--vb-list", "1")
+    assert (code, payload["verdict"]) == (0, "pass")
 
 
 def test_infinite_valuation_serializes(capsys):
