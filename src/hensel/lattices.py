@@ -220,18 +220,21 @@ def _window_strata(p: int, m: int):
         max(alpha, beta, alpha + beta - val(c)) <= 2m,
 
     since p^{m'} L0 <= L forces m' >= each of those three quantities and the
-    scaling freedom contributes the other m.
+    scaling freedom contributes the other m.  On the row beta = 0 every
+    vc < alpha meets it; for alpha, beta > 0 the normalization forces vc = 0
+    and the bound reads alpha + beta <= 2m; and offdiag = 0 is normalized
+    only when min(alpha, beta) = 0.  So the strata come out directly, and
+    there are (2m + 1)^2 of them.
     """
     for alpha in range(2 * m + 1):
         for beta in range(2 * m + 1):
-            if min(alpha, beta) == 0 and max(alpha, beta) <= 2 * m:
+            if min(alpha, beta) == 0:
                 yield alpha, beta, None, 1
-            for vc in range(alpha):
-                if min(alpha, beta, vc) != 0:
-                    continue
-                if max(alpha, beta, alpha + beta - vc) > 2 * m:
-                    continue
-                yield alpha, beta, vc, (p - 1) * p ** (alpha - vc - 1)
+            if beta == 0:
+                for vc in range(alpha):
+                    yield alpha, beta, vc, (p - 1) * p ** (alpha - vc - 1)
+            elif alpha > 0 and alpha + beta <= 2 * m:
+                yield alpha, beta, 0, (p - 1) * p ** (alpha - 1)
 
 
 def enumerate_window(p: int, m: int, prec: int | None = None) -> list[Lattice2]:

@@ -7,10 +7,10 @@ each class by a sign depending on its index parity (n = 2, kappa in
 
 One engine produces the counts.  It walks the strata (alpha, beta, val c)
 of the window's canonical forms, the subtrees of the digit tree of the
-off-diagonal residue c, and accepts or rejects each stratum whole after one
-exact evaluation of the membership inequalities (see the comment above
-`_inclusion_counts` for why one evaluation settles a stratum).  Its cost
-does not grow with p.
+off-diagonal residue c, and accepts or rejects each stratum whole from the
+valuations of a, b and c alone (see the comment above `_inclusion_counts`
+for why they settle a stratum).  The walk is O(m^2) integer comparisons at
+window radius m, and their number does not depend on p.
 
 The test suite checks the engine against a direct scan that runs the full
 membership test (`lattices.is_stable`) on every class of small windows
@@ -23,12 +23,12 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .lattices import GammaElement, _window_strata
-from .padics import valp_fraction
-from .primes import is_prime
+from .padics import INFINITY, valp_fraction
+from .primes import is_prime, legendre_symbol
 
 # Outcome of one transfer-identity verification.  counts maps each grading
-# class to its stable-class count; expected, closed_form, saturated and
-# verdict are None where they do not apply.
+# class to its stable-class count; expected, closed_form and verdict are None
+# where they do not apply.
 OrbitalReport = namedtuple(
     "OrbitalReport",
     "p val_a val_b kappa window counts untwisted twisted expected"
@@ -50,50 +50,54 @@ OrbitalReport = namedtuple(
 # A stratum (alpha, beta, vc) holds the (p - 1) p^{alpha - vc - 1} residues c
 # mod p^alpha of valuation vc: the subtree of the digit tree under the
 # leading digit of c.  Every class of a stratum meets the conditions or none
-# does, so one exact evaluation at c = p^vc settles the whole subtree:
+# does, and the integer valuations va = val(a), vb = val(b) and vc (infinite
+# for c = 0) decide which:
 #
-# * (i) does not involve c;
+# * (i) does not involve c: vb + alpha >= beta;
 # * (ii) and (iii) hold together iff val(a p^beta) >= beta and
 #   val(c b) >= beta, since their sum and difference are 2 a p^beta and
-#   2 c b and p is odd; a digit that cancels one of them breaks the other;
+#   2 c b and p is odd; a digit that cancels one of them breaks the other.
+#   So they hold iff va >= 0 and vc + vb >= beta;
 # * (iv) never cancels: delta is a non-square unit, so the value has
-#   valuation min(2 beta, 2 vc) exactly.
+#   valuation min(2 beta, 2 vc) exactly, and (iv) is
+#   2 min(beta, vc) >= alpha + beta - vb.
 #
 # No digit below the leading one matters, so the walk visits each stratum
 # once, whatever p is.  `_window_strata` yields exactly (2m + 1)^2 strata,
-# so the walk is O(m^2) evaluations; the cost grows faster than that
-# because each evaluation is exact arithmetic on p^beta, whose size grows
-# with m.
+# so the walk is O(m^2) integer comparisons.
 
 
-def _inclusion_counts(gamma: GammaElement, m: int) -> dict:
-    """Counts, per grading class, the classes of the window with gamma(L) <= L."""
-    p = gamma.p
-    ra, rb, rdelta = (s.exact_value for s in (gamma.a, gamma.b, gamma.delta))
-    if None in (ra, rb, rdelta):
-        raise ValueError("counting needs rational-born gamma entries")
-    vb = valp_fraction(rb, p)
+def _inclusion_counts(p: int, va, vb: int, m: int) -> dict:
+    """Counts, per grading class, the classes of the window with gamma(L) <= L
+    for gamma with val(a) = va (INFINITY for a = 0) and val(b) = vb."""
     counts = {0: 0, 1: 0}
     for alpha, beta, vc, size in _window_strata(p, m):
-        c = 0 if vc is None else p**vc
-        pb = Fraction(p) ** beta
+        if vc is None:
+            vc = INFINITY  # c = 0
         if (
-            vb + alpha - beta >= 0
-            and valp_fraction(ra * pb - c * rb, p) >= beta
-            and valp_fraction(ra * pb + c * rb, p) >= beta
-            and valp_fraction(rdelta * pb * pb - c * c, p) >= alpha + beta - vb
+            vb + alpha >= beta
+            and va >= 0
+            and vc + vb >= beta
+            and 2 * min(beta, vc) >= alpha + beta - vb
         ):
             counts[(alpha + beta) % 2] += size
     return counts
 
 
-def count_stable(gamma: GammaElement, m: int) -> dict:
-    """Count gamma-stable homothety classes in the window, per grading class."""
-    if gamma.det_valuation != 0:
-        # gamma(L) has index p^{val det} in L, so it never equals L
+def _stable_counts(p: int, va, vb: int, m: int) -> dict:
+    """Counts, per grading class, the gamma-stable classes of the window."""
+    if min(va, vb) != 0:
+        # the norm form is anisotropic, so val det = val(a^2 - b^2 delta) is
+        # 2 min(va, vb); gamma(L) has index p^{val det} in L, so it never
+        # equals L
         return {0: 0, 1: 0}
     # unit determinant: gamma(L) <= L has index 1, so it is gamma(L) = L
-    return _inclusion_counts(gamma, m)
+    return _inclusion_counts(p, va, vb, m)
+
+
+def count_stable(gamma: GammaElement, m: int) -> dict:
+    """Count gamma-stable homothety classes in the window, per grading class."""
+    return _stable_counts(gamma.p, gamma.val_a, gamma.val_b, m)
 
 
 def twisted_count(gamma: GammaElement, kappa: int, m: int) -> int:
@@ -142,7 +146,6 @@ def verify_fundamental_lemma(
     delta,
     kappa: int = 1,
     window: int | None = None,
-    saturate: bool = True,
 ) -> OrbitalReport:
     """Compare the twisted count of stable classes with the transfer constant.
 
@@ -171,7 +174,7 @@ def verify_fundamental_lemma(
     show that the window holds all of F.  (In the unit regime F is the ball
     of radius val(b), which the default window just holds.)  The vanishing
     and outside regimes keep the radius val(b) + 1; in the vanishing regime
-    the counts are zero by the index argument in `count_stable`.
+    the counts are zero by the index argument in `_stable_counts`.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -180,13 +183,12 @@ def verify_fundamental_lemma(
     ra, rb, rdelta = Fraction(a), Fraction(b), Fraction(delta)
     if rb == 0:
         raise ValueError("b must be nonzero")
+    # the count reads only val(a), val(b) and delta's square class; the symbol
+    # of n/d is that of n d, and it is 0 unless delta is a unit
+    if legendre_symbol(rdelta.numerator * rdelta.denominator, p) != -1:
+        raise ValueError("delta must be a non-square unit of Z_p")
     va = valp_fraction(ra, p)
     vb = valp_fraction(rb, p)
-    # The count reads only the exact entries.  One digit is all that
-    # GammaElement's own checks need: delta's residue class, and the
-    # determinant valuation, since the norm form a^2 - b^2 delta is
-    # anisotropic and its leading digits never cancel.
-    gamma = GammaElement.from_rationals(p, ra, rb, rdelta, prec=1)
 
     if va == 0 and vb > 0:
         regime = "unit"
@@ -206,16 +208,14 @@ def verify_fundamental_lemma(
     if window < 0:
         raise ValueError("window radius must be nonnegative")
     m = window
-    counts = count_stable(gamma, m)
-    saturated = None
-    if saturate:
-        saturated = counts == count_stable(gamma, m + 1)
+    counts = _stable_counts(p, va, vb, m)
+    saturated = counts == _stable_counts(p, va, vb, m + 1)
 
     untwisted = counts[0] + counts[1]
     twisted = counts[0] - counts[1] if kappa == 1 else untwisted
     verdict = None
     if expected is not None:
-        verdict = twisted == expected and saturated is not False
+        verdict = twisted == expected and saturated
         if regime == "unit":
             verdict = verdict and twisted == closed
 

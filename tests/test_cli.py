@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hensel import arith, cli, orbital, qseries, traceformula
+from hensel import arith, cli, orbital, padics, qseries, traceformula
 from hensel.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -78,6 +78,43 @@ def test_fl_verify_large_prime_saturates(capsys):
     assert payload["verdict"] == "pass"
     assert payload["results"]["saturated"] is True
     assert payload["results"]["window"] == 1
+
+
+@pytest.mark.parametrize("kappa", [1, 0])
+@pytest.mark.parametrize("p", [3, 1009])
+def test_fl_verify_at_val_b_ceiling(capsys, p, kappa):
+    start = time.perf_counter()
+    code, payload = run_json(
+        capsys, "fl-verify", "--p", str(p), "--a", "1",
+        "--b", str(p**cli.FL_MAX_VAL_B), "--kappa", str(kappa),
+    )
+    assert (code, payload["verdict"]) == (0, "pass")
+    assert payload["results"]["window"] == cli.FL_MAX_VAL_B // 2
+    assert payload["results"]["saturated"] is True
+    # the count and the recount walk 101^2 + 103^2 strata with integer
+    # comparisons: a few hundredths of a second
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "command, verdict",
+    [
+        ("fl-verify --p 3 --a 1 --b 3", "pass"),
+        ("fl-verify --p 3 --a 1/3 --b 3", "pass"),
+        ("fl-verify --p 3 --a 1 --b 1", "not-applicable"),
+        ("sweep --p-list 3,5,7 --vb-list 1,2,3", "pass"),
+    ],
+    ids=["unit", "vanishing", "outside", "sweep"],
+)
+def test_fl_paths_build_no_padic_scalar(capsys, monkeypatch, command, verdict):
+    # the count reads integer valuations only, so no fl path can raise a
+    # p-adic precision error and main needs no handler for one
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PadicScalar was built")
+
+    monkeypatch.setattr(padics.PadicScalar, "__init__", refuse)
+    code, payload = run_json(capsys, *command.split())
+    assert (code, payload["verdict"]) == (0, verdict)
 
 
 def test_fl_verify_undersized_window_fails(capsys):
@@ -241,11 +278,12 @@ def _theta_without_left_n1(t, m_max=50):
     return abs(s1 - s2 / math.sqrt(t))
 
 
-def _one_more_class(real, where=lambda gamma, m: True):
-    # one extra stable class in grading class 1, at the windows `where` picks
-    def mutant(gamma, m):
-        counts = dict(real(gamma, m))
-        counts[1] += where(gamma, m)
+def _one_more_class(real, where=lambda p, va, vb, m: True):
+    # one extra stable class in grading class 1, at the (p, val a, val b,
+    # window) that `where` picks
+    def mutant(p, va, vb, m):
+        counts = dict(real(p, va, vb, m))
+        counts[1] += where(p, va, vb, m)
         return counts
     return mutant
 
@@ -291,15 +329,15 @@ def _last_coset_replaced_by_first():
          _one_more_class(orbital._inclusion_counts)),
         ("fl-verify --p 3 --a 1 --b 9 --kappa 0", orbital, "_inclusion_counts",
          _one_more_class(orbital._inclusion_counts)),
-        # in the vanishing regime count_stable returns 0 by the index argument
+        # in the vanishing regime _stable_counts returns 0 by the index argument
         # without calling _inclusion_counts, so the mutant replaces it
-        ("fl-verify --p 3 --a 1/3 --b 3", orbital, "count_stable",
-         _one_more_class(orbital.count_stable)),
+        ("fl-verify --p 3 --a 1/3 --b 3", orbital, "_stable_counts",
+         _one_more_class(orbital._stable_counts)),
         # the default window at val(b) = 1 is 1: only the recount at 2 is wrong
-        ("fl-verify --p 3 --a 1 --b 3", orbital, "count_stable",
-         _one_more_class(orbital.count_stable, lambda gamma, m: m == 2)),
+        ("fl-verify --p 3 --a 1 --b 3", orbital, "_stable_counts",
+         _one_more_class(orbital._stable_counts, lambda p, va, vb, m: m == 2)),
         ("sweep --p-list 3,5,7 --vb-list 1,2,3 --kappa 1", orbital, "_inclusion_counts",
-         _one_more_class(orbital._inclusion_counts, lambda gamma, m: gamma.p == 7)),
+         _one_more_class(orbital._inclusion_counts, lambda p, va, vb, m: p == 7)),
         # at depth 2 the check reads a_1, a_2 and a_4 of delta(4)
         ("hecke --p 2 --truncation 2", qseries, "delta", _delta_top_coefficient_plus_one()),
         ("frobenius --d -1 --pmax 1000", arith, "frobenius_quadratic",

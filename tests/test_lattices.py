@@ -356,6 +356,30 @@ def test_window_is_tree_ball_of_radius_twice_m(p, m):
     assert len(ball) == window_class_count(p, m) == 1 + (p + 1) * (p ** (2 * m) - 1) // (p - 1)
 
 
+def _filtered_window_strata(p: int, m: int):
+    """Reference for `_window_strata`: every (alpha, beta, vc) of the cube,
+    kept when it is normalized and meets the window bound (O(m^3) steps)."""
+    for alpha in range(2 * m + 1):
+        for beta in range(2 * m + 1):
+            if min(alpha, beta) == 0 and max(alpha, beta) <= 2 * m:
+                yield alpha, beta, None, 1
+            for vc in range(alpha):
+                if min(alpha, beta, vc) != 0:
+                    continue
+                if max(alpha, beta, alpha + beta - vc) > 2 * m:
+                    continue
+                yield alpha, beta, vc, (p - 1) * p ** (alpha - vc - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_window_strata_match_filtered_cube(p):
+    # the direct generator yields the same strata, in the same order
+    for m in range(9):
+        strata = list(_window_strata(p, m))
+        assert strata == list(_filtered_window_strata(p, m))
+        assert len(strata) == (2 * m + 1) ** 2
+
+
 def test_enumerate_window_deterministic():
     a = enumerate_window(5, 1)
     b = enumerate_window(5, 1)

@@ -45,8 +45,9 @@ PAYLOADS = [
     ("trace", 0, "",
      "12b0b0152523e64b3a2e78e820b0606468ff547925b9fbdd5a6b5a20ee56ce52"),
     # options, regimes and usage errors
-    ("fl-verify --p 3 --a 1 --b 3 --no-saturate", 0, "",
-     "dc33f4a975088f7b585d41d853e41ec0fce330234ff58aa97c79f9c5ed6e1aa1"),
+    ("fl-verify --p 3 --a 1 --b 3 --window x", 2,
+     "hensel: error: --window must be auto or an integer, got 'x'\n",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fl-verify --p 3 --a 1 --b 3 --window 0", 1, "",
      "31e8d9c4d4e3d8bbf2962a01209c9ac8b89c9a1df5530e2990abd3c45905c895"),
     ("fl-verify --p 3 --a 1 --b 9 --window 1", 0, "",
@@ -146,6 +147,9 @@ PAYLOADS = [
     ("orbital --p 3 --a 1 --b 3 --kappa 1", 2, USAGE + INVALID_CHOICE.format("orbital"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("orbital --p 3 --a 1 --b 3 --window 0", 2, USAGE + INVALID_CHOICE.format("orbital"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fl-verify --p 3 --a 1 --b 3 --no-saturate", 2,
+     USAGE + "hensel: error: unrecognized arguments: --no-saturate\n",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--format csv fl-verify --p 3 --a 1 --b 3", 2, USAGE + INVALID_CHOICE.format("csv"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
